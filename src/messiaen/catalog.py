@@ -13,6 +13,8 @@ Catalog files are line-oriented UTF-8, one entry per line:
 with ``#`` comment lines and blank lines ignored.  The durations cell
 uses the rhythm text format (so it may carry ``@unit=<label>``);
 ``modes.cat`` uses the pitch-class text format in that cell instead.
+Serialization refuses, with a DomainError, any entry that would not load
+back equal (a field holding ``|`` or a line break, for one).
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import z12
-from .errors import BadPredicate, DuplicateId, NonIntegerTotal, ParseError, TooShort
+from .errors import BadPredicate, DomainError, DuplicateId, NonIntegerTotal, ParseError, TooShort, ascii_int
 from .rhythm import (
     AugmentationChain,
     InterleaveProfile,
@@ -40,7 +41,11 @@ from .rhythm import (
     total_duration,
 )
 
-SEED_FILES = ("talas.cat", "quatuor.cat", "modes.cat")
+_DATA_DIR = Path(__file__).parent / "data"
+
+# Characters that str.splitlines() ends a line at: a field holding one
+# would not come back as one line.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True)
@@ -64,26 +69,62 @@ class ModeEntry:
     members: z12.PcSet
 
 
-def _split_line(line: str, lineno: int) -> tuple[int, str, str, str, str]:
-    fields = line.split("|")
-    if len(fields) not in (4, 5):
-        raise ParseError(f"expected 4 or 5 |-separated fields, got {len(fields)}", lineno)
-    raw_id, name, gloss, payload = fields[:4]
-    note = fields[4].strip() if len(fields) == 5 else ""
-    if not raw_id.strip().isdigit():
-        raise ParseError(f"id must be a positive integer, got {raw_id.strip()!r}", lineno)
-    ident = int(raw_id)
-    if ident < 1:
-        raise ParseError(f"id must be positive, got {ident}", lineno)
-    return ident, name.strip(), gloss.strip(), payload.strip(), note
-
-
-def _content_lines(source: Iterable[str]) -> Iterable[tuple[int, str]]:
+def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: Callable) -> list:
+    """The catalog line reader: ``parse`` reads the payload cell, named
+    ``cell`` in errors; ``make`` builds an entry from the fields."""
+    entries = []
+    seen: set[int] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line
+        fields = [f.strip() for f in line.split("|")]
+        if len(fields) not in (4, 5):
+            raise ParseError(f"expected 4 or 5 |-separated fields, got {len(fields)}", lineno)
+        ident = ascii_int(fields[0], lineno)
+        if ident is None:
+            raise ParseError(f"id must be a positive integer, got {fields[0]!r}", lineno)
+        if ident < 1:
+            raise ParseError(f"id must be positive, got {ident}", lineno)
+        if ident in seen:
+            raise DuplicateId(f"duplicate {key} {ident}", lineno)
+        seen.add(ident)
+        try:
+            value = parse(fields[3])
+        except ParseError as exc:
+            raise ParseError(f"bad {cell}: {exc}", lineno) from exc
+        entries.append(make(ident, fields[1], fields[2], value, *fields[4:]))
+    return entries
+
+
+def _fits(text: str) -> bool:
+    """Whether text reads back unchanged from a cell of a catalog line."""
+    return "|" not in text and _LINE_BREAKS.isdisjoint(text) and text == text.strip()
+
+
+def _dump(rows: Iterable[tuple], format_payload: Callable) -> str:
+    """The catalog line writer, for (id, name, gloss, payload, note) rows;
+    a row that would not load back equal is a DomainError."""
+    lines = []
+    seen: set[int] = set()
+    for ident, name, gloss, payload, note in rows:
+        if ident < 1 or ident in seen:
+            raise DomainError(f"id {ident} is not positive or not unique")
+        seen.add(ident)
+        cells = [str(ident), name, gloss, format_payload(payload)] + ([note] if note else [])
+        if not cells[3] or not all(map(_fits, cells)):
+            raise DomainError(
+                f"entry {ident} does not fit a catalog line: a field holds '|' or a line"
+                " break, starts or ends with white space, or the payload is empty"
+            )
+        lines.append("|".join(cells) + "\n")
+    return "".join(lines)
+
+
+def _rhythm_cell(r: Rhythm) -> str:
+    if not _fits(r.unit):
+        raise DomainError(f"unit {r.unit!r} does not fit a catalog line")
+    return format_rhythm(r)
 
 
 def load_catalog(source: Iterable[str]) -> list[TalaEntry]:
@@ -91,62 +132,27 @@ def load_catalog(source: Iterable[str]) -> list[TalaEntry]:
 
     ``source`` is any iterable of lines (an open text file works).
     """
-    entries: list[TalaEntry] = []
-    seen: set[int] = set()
-    for lineno, line in _content_lines(source):
-        ident, name, gloss, payload, note = _split_line(line, lineno)
-        if ident in seen:
-            raise DuplicateId(f"duplicate id {ident}", lineno)
-        seen.add(ident)
-        try:
-            rhythm = parse_rhythm(payload)
-        except ParseError as exc:
-            raise ParseError(f"bad durations: {exc}", lineno) from exc
-        entries.append(TalaEntry(ident, name, gloss, rhythm, note))
-    return entries
+    return _load(source, parse_rhythm, "durations", "id", TalaEntry)
 
 
 def load_modes(source: Iterable[str]) -> list[ModeEntry]:
     """Parse mode catalog lines; the payload cell holds pitch classes."""
-    entries: list[ModeEntry] = []
-    seen: set[int] = set()
-    for lineno, line in _content_lines(source):
-        number, name, gloss, payload, _ = _split_line(line, lineno)
-        if number in seen:
-            raise DuplicateId(f"duplicate mode number {number}", lineno)
-        seen.add(number)
-        try:
-            members = z12.parse_pcset(payload)
-        except ParseError as exc:
-            raise ParseError(f"bad pitch classes: {exc}", lineno) from exc
-        entries.append(ModeEntry(number, name, gloss, members))
-    return entries
+    return _load(source, z12.parse_pcset, "pitch classes", "mode number",
+                 lambda number, name, gloss, members, *_: ModeEntry(number, name, gloss, members))
 
 
 def serialize_catalog(entries: Iterable[TalaEntry]) -> str:
     """Canonical catalog text, one line per entry, loadable by :func:`load_catalog`."""
-    lines = []
-    for e in entries:
-        line = f"{e.id}|{e.name}|{e.gloss}|{format_rhythm(e.rhythm)}"
-        if e.source_note:
-            line += f"|{e.source_note}"
-        lines.append(line)
-    return "\n".join(lines) + "\n" if lines else ""
+    return _dump(((e.id, e.name, e.gloss, e.rhythm, e.source_note) for e in entries), _rhythm_cell)
 
 
 def serialize_modes(entries: Iterable[ModeEntry]) -> str:
     """Canonical mode catalog text, loadable by :func:`load_modes`."""
-    lines = [
-        f"{e.number}|{e.name}|{e.gloss}|{z12.format_pcset(e.members)}" for e in entries
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    return _dump(((e.number, e.name, e.gloss, e.members, "") for e in entries), z12.format_pcset)
 
 
 def _read_seed(name: str, data_dir: Optional[str] = None) -> list[str]:
-    if data_dir is not None:
-        return (Path(data_dir) / name).read_text(encoding="utf-8").splitlines()
-    text = resources.files("messiaen").joinpath("data", name).read_text(encoding="utf-8")
-    return text.splitlines()
+    return Path(_DATA_DIR if data_dir is None else data_dir, name).read_text(encoding="utf-8").splitlines()
 
 
 def seed_talas(data_dir: Optional[str] = None) -> list[TalaEntry]:
@@ -205,18 +211,6 @@ def analyze_entry(e: TalaEntry) -> AnalysisReport:
     return analyze_rhythm(e.rhythm, entry_id=e.id)
 
 
-def _pred_nonretro(report: AnalysisReport) -> bool:
-    return report.non_retrogradable
-
-
-def _pred_prime(report: AnalysisReport) -> bool:
-    return report.prime_total is True
-
-
-def _pred_augchain(report: AnalysisReport) -> bool:
-    return report.augmentation_chain is not None
-
-
 def _pred_interleave(report: AnalysisReport) -> bool:
     # The interlocking pattern: one parity class constant, the other
     # rising then falling.
@@ -227,9 +221,9 @@ def _pred_interleave(report: AnalysisReport) -> bool:
 
 
 PREDICATES = {
-    "nonretro": _pred_nonretro,
-    "prime": _pred_prime,
-    "augchain": _pred_augchain,
+    "nonretro": lambda report: report.non_retrogradable,
+    "prime": lambda report: report.prime_total is True,
+    "augchain": lambda report: report.augmentation_chain is not None,
     "interleave": _pred_interleave,
 }
 

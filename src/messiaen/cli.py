@@ -22,86 +22,74 @@ from .errors import DomainError, ParseError
 
 MACHINE = "machine"
 
-
-def _format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("human", MACHINE),
-        default="human",
-        help="human (default) or machine-readable output",
-    )
+# `perm count` prints n! in full up to this n (77 338 digits), so that
+# the conversion to decimal text stays well under a second.
+COUNT_MAX = 20_000
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
 
 
-def _unit_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--unit", default="", help="unit label for rhythms given without @unit=")
+def _rhythm_arg(args) -> rh.Rhythm:
+    r = rh.parse_rhythm(args.rhythm_text)
+    return rh.Rhythm(r.durations, args.unit) if args.unit and not r.unit else r
 
 
-def _rhythm_arg(args, attr: str = "rhythm_text") -> rh.Rhythm:
-    r = rh.parse_rhythm(getattr(args, attr))
-    unit = getattr(args, "unit", "")
-    if unit and not r.unit:
-        r = rh.Rhythm(r.durations, unit)
-    return r
+def _rhythm_result(r: rh.Rhythm, machine: bool, label: str) -> str:
+    return f"{rh.format_rhythm(r)}\n" if machine else f"{label}: {rh.format_rhythm(r)}\n"
 
 
-def _print_rhythm(r: rh.Rhythm, args, label: str) -> None:
-    if args.format == MACHINE:
-        print(rh.format_rhythm(r))
-    else:
-        print(f"{label}: {rh.format_rhythm(r)}")
+def _json(value) -> str:
+    return json.dumps(value, ensure_ascii=False) + "\n"
 
 
-def _oui(flag: bool) -> str:
-    return "oui" if flag else "non"
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of a nonnegative int of any size, converted in chunks
+    shorter than the interpreter's int-to-str limit."""
+    if n < _CHUNK:
+        return str(n)
+    high, low = divmod(n, _CHUNK)
+    return _decimal(high) + str(low).zfill(_CHUNK_DIGITS)
 
 
 # --- rhythm ----------------------------------------------------------------
 
 
-def _cmd_rhythm_analyze(args) -> int:
+def _cmd_rhythm_analyze(args, machine: bool) -> str:
     r = _rhythm_arg(args)
     report = cat.analyze_rhythm(r)
-    if args.format == MACHINE:
-        print(json.dumps(cat.report_to_dict(report), ensure_ascii=False))
-    else:
-        print(cat.render_report(report, rhythm=r))
-    return 0
+    return _json(cat.report_to_dict(report)) if machine else cat.render_report(report, rhythm=r) + "\n"
 
 
-def _cmd_rhythm_retrograde(args) -> int:
-    _print_rhythm(rh.retrograde(_rhythm_arg(args)), args, "rétrograde")
-    return 0
+def _cmd_rhythm_retrograde(args, machine: bool) -> str:
+    return _rhythm_result(rh.retrograde(_rhythm_arg(args)), machine, "rétrograde")
 
 
-def _cmd_rhythm_augment(args) -> int:
+def _cmd_rhythm_augment(args, machine: bool) -> str:
     ratio = rh.as_fraction(args.ratio)
     out = rh.augment(_rhythm_arg(args), ratio)
-    if args.format == MACHINE:
-        print(rh.format_rhythm(out))
-    else:
-        kind = rh.augmentation_kind(ratio)
-        label = "identité" if kind == "identity" else kind
-        print(f"{label} (rapport {ratio}): {rh.format_rhythm(out)}")
-    return 0
+    kind = rh.augmentation_kind(ratio)
+    label = "identité" if kind == "identity" else kind
+    return _rhythm_result(out, machine, f"{label} (rapport {ratio})")
 
 
-def _cmd_rhythm_amplify(args) -> int:
+def _cmd_rhythm_amplify(args, machine: bool) -> str:
     core = _rhythm_arg(args)
     wing = rh.parse_rhythm(args.wing)
-    _print_rhythm(rh.symmetric_amplification(core, wing), args, "amplification symétrique")
-    return 0
+    return _rhythm_result(rh.symmetric_amplification(core, wing), machine, "amplification symétrique")
 
 
-def _cmd_rhythm_eliminate(args) -> int:
+def _cmd_rhythm_eliminate(args, machine: bool) -> str:
     out = rh.eliminate_extremes(_rhythm_arg(args), args.count)
-    _print_rhythm(out, args, f"extrêmes éliminés (k={args.count})")
-    return 0
+    return _rhythm_result(out, machine, f"extrêmes éliminés (k={args.count})")
 
 
-def _cmd_rhythm_central(args) -> int:
+def _cmd_rhythm_central(args, machine: bool) -> str:
     out = rh.scale_central(_rhythm_arg(args), rh.as_fraction(args.ratio))
-    _print_rhythm(out, args, "valeur centrale modifiée")
-    return 0
+    return _rhythm_result(out, machine, "valeur centrale modifiée")
 
 
 def _parse_voice(text: str) -> tuple[str, str]:
@@ -111,12 +99,12 @@ def _parse_voice(text: str) -> tuple[str, str]:
     return delay, ratio
 
 
-def _cmd_rhythm_canon(args) -> int:
+def _cmd_rhythm_canon(args, machine: bool) -> str:
     subject = _rhythm_arg(args)
     voices = [_parse_voice(v) for v in args.voice]
     sched = rh.build_canon(subject, voices)
-    if args.format == MACHINE:
-        payload = {
+    if machine:
+        return _json({
             "subject": rh.format_rhythm(subject),
             "voices": [
                 {
@@ -128,79 +116,57 @@ def _cmd_rhythm_canon(args) -> int:
                 for v in sched.voices
             ],
             "events": [[str(t), i + 1, str(d)] for t, i, d in sched.events],
-        }
-        print(json.dumps(payload, ensure_ascii=False))
-        return 0
+        })
+    lines = []
     for i, v in enumerate(sched.voices, start=1):
         onsets = " ".join(str(t) for t in v.onsets)
-        print(f"voix {i}: départ {v.delay}, rapport {v.ratio}, attaques {onsets}, fin {v.end}")
+        lines.append(f"voix {i}: départ {v.delay}, rapport {v.ratio}, attaques {onsets}, fin {v.end}")
     merged = "  ".join(f"{t} (voix {i + 1})" for t, i, _ in sched.events)
-    print(f"événements: {merged}")
-    return 0
+    return _lines(lines + [f"événements: {merged}"])
 
 
 # --- pcset -----------------------------------------------------------------
 
 
-def _cmd_pcset_classify(args) -> int:
+def _cmd_pcset_classify(args, machine: bool) -> str:
     s = z12.parse_pcset(args.pcset_text)
     mode = z12.classify_mode(s)
-    if args.format == MACHINE:
-        if mode is None:
-            print("null")
-        else:
-            print(
-                json.dumps(
-                    {"mode": mode.number, "offset": mode.offset, "period": mode.period}
-                )
-            )
-        return 0
-    if mode is None:
-        if not z12.is_degenerate(s) and z12.detect_truncated(s):
-            print("aucun mode catalogué (mode tronqué)")
-        else:
-            print("aucun mode catalogué")
-    else:
-        print(f"Mode {mode.number}, transposition {mode.offset + 1} (sur {mode.period})")
-    return 0
+    if machine:
+        return _json(None if mode is None else {"mode": mode.number, "offset": mode.offset, "period": mode.period})
+    if mode is not None:
+        return f"Mode {mode.number}, transposition {mode.offset + 1} (sur {mode.period})\n"
+    if not z12.is_degenerate(s) and z12.detect_truncated(s):
+        return "aucun mode catalogué (mode tronqué)\n"
+    return "aucun mode catalogué\n"
 
 
-def _cmd_pcset_period(args) -> int:
+def _cmd_pcset_period(args, machine: bool) -> str:
     s = z12.parse_pcset(args.pcset_text)
     period = z12.minimal_period(s)
-    if args.format == MACHINE:
-        print(period)
-        return 0
+    if machine:
+        return f"{period}\n"
     line = f"période minimale: {period} — {period} transpositions distinctes"
-    line += f" — transpositions limitées: {_oui(period < 12)}"
+    line += f" — transpositions limitées: {cat._oui(period < 12)}"
     if z12.is_degenerate(s):
         line += " — ensemble dégénéré"
-    print(line)
-    return 0
+    return line + "\n"
 
 
-def _cmd_pcset_enumerate(args) -> int:
+def _cmd_pcset_enumerate(args, machine: bool) -> str:
     sets = z12.enumerate_limited()
-    if args.format == MACHINE:
-        for s in sets:
-            print(z12.format_pcset(s))
-        return 0
-    print(f"{len(sets)} ensembles à transpositions limitées (dégénérés inclus)")
+    if machine:
+        return _lines(z12.format_pcset(s) for s in sets)
+    lines = [f"{len(sets)} ensembles à transpositions limitées (dégénérés inclus)"]
     for s in sets:
         text = z12.format_pcset(s) or "(ensemble vide)"
         extra = " — dégénéré" if z12.is_degenerate(s) else ""
-        print(f"  {text} — période {z12.minimal_period(s) if s else 1}{extra}")
-    return 0
+        lines.append(f"  {text} — période {z12.minimal_period(s) if s else 1}{extra}")
+    return _lines(lines)
 
 
-def _cmd_pcset_truncated(args) -> int:
-    s = z12.parse_pcset(args.pcset_text)
-    truncated = z12.detect_truncated(s)
-    if args.format == MACHINE:
-        print(json.dumps(truncated))
-    else:
-        print(f"mode tronqué: {_oui(truncated)}")
-    return 0
+def _cmd_pcset_truncated(args, machine: bool) -> str:
+    truncated = z12.detect_truncated(z12.parse_pcset(args.pcset_text))
+    return _json(truncated) if machine else f"mode tronqué: {cat._oui(truncated)}\n"
 
 
 # --- perm ------------------------------------------------------------------
@@ -216,74 +182,54 @@ def _perm_arg(args) -> pm.Perm:
     raise ParseError("a permutation (1-based images) or --chronochromie is required")
 
 
-def _cmd_perm_order(args) -> int:
-    p = _perm_arg(args)
-    if args.format == MACHINE:
-        print(p.order())
-    else:
-        print(f"ordre = {p.order()}")
-    return 0
+def _cmd_perm_order(args, machine: bool) -> str:
+    order = _perm_arg(args).order()
+    return f"{order}\n" if machine else f"ordre = {order}\n"
 
 
-def _cmd_perm_cycles(args) -> int:
+def _cmd_perm_cycles(args, machine: bool) -> str:
     p = _perm_arg(args)
     cycles = p.cycles()
-    if args.format == MACHINE:
-        payload = {
-            "cycles": [[i + 1 for i in c] for c in cycles],
-            "order": p.order(),
-        }
-        print(json.dumps(payload))
-        return 0
+    if machine:
+        return _json({"cycles": [[i + 1 for i in c] for c in cycles], "order": p.order()})
     rendered = "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycles)
-    print(f"cycles: {rendered}")
-    print(f"ordre = {p.order()}")
-    return 0
+    return f"cycles: {rendered}\nordre = {p.order()}\n"
 
 
-def _cmd_perm_fan(args) -> int:
+def _cmd_perm_fan(args, machine: bool) -> str:
     p = pm.fan(args.size, direction=args.direction)
-    if args.format == MACHINE:
-        print(pm.format_perm(p))
-        return 0
+    if machine:
+        return pm.format_perm(p) + "\n"
     side = "gauche" if args.direction == "left" else "droite"
-    print(f"éventail sur {args.size} objets (du centre vers les extrêmes, départ à {side})")
-    print(f"permutation: {pm.format_perm(p)}")
     table = pm.orbit_table(p, tuple(range(1, args.size + 1)))
-    print(f"suites itérées depuis {' '.join(str(i) for i in table.base)}:")
-    for i, row in enumerate(table.rows, start=1):
-        print(f"  {i}: {' '.join(str(x) for x in row)}")
-    print(
+    return _lines([
+        f"éventail sur {args.size} objets (du centre vers les extrêmes, départ à {side})",
+        f"permutation: {pm.format_perm(p)}",
+        f"suites itérées depuis {' '.join(str(i) for i in table.base)}:",
+        *(f"  {i}: {' '.join(str(x) for x in row)}" for i, row in enumerate(table.rows, start=1)),
         f"ordre = {table.order} "
-        f"(la liste compte {table.order + 1} suites quand on répète la suite initiale à la fin)"
-    )
-    return 0
+        f"(la liste compte {table.order + 1} suites quand on répète la suite initiale à la fin)",
+    ])
 
 
-def _cmd_perm_orbit(args) -> int:
+def _cmd_perm_orbit(args, machine: bool) -> str:
     p = _perm_arg(args)
     if args.base:
         base = rh.parse_rhythm(args.base).durations
     else:
         base = pm.chromatic_durations(len(p)).durations
     table = pm.orbit_table(p, base, cap=args.cap)
-    if args.format == MACHINE:
-        for row in table.rows:
-            print(" ".join(str(x) for x in row))
-        return 0
-    for i, row in enumerate(table.rows, start=1):
-        print(f"{i}: {' '.join(str(x) for x in row)}")
-    print(f"ordre = {table.order}")
-    return 0
+    rows = [" ".join(str(x) for x in row) for row in table.rows]
+    if machine:
+        return _lines(rows)
+    return _lines([f"{i}: {row}" for i, row in enumerate(rows, start=1)] + [f"ordre = {table.order}"])
 
 
-def _cmd_perm_count(args) -> int:
-    count = pm.permutation_count(args.size)
-    if args.format == MACHINE:
-        print(count)
-    else:
-        print(f"{args.size}! = {count}")
-    return 0
+def _cmd_perm_count(args, machine: bool) -> str:
+    if args.size > COUNT_MAX:
+        raise DomainError(f"n! is printed for n up to {COUNT_MAX}, got {args.size}")
+    count = _decimal(pm.permutation_count(args.size))
+    return f"{count}\n" if machine else f"{args.size}! = {count}\n"
 
 
 # --- catalog ---------------------------------------------------------------
@@ -294,24 +240,21 @@ def _catalog_entries(args) -> list[cat.TalaEntry]:
     return loader(args.data)
 
 
-def _cmd_catalog_list(args) -> int:
+def _cmd_catalog_list(args, machine: bool) -> str:
     if args.which == "modes":
         modes = cat.seed_modes(args.data)
-        if args.format == MACHINE:
-            sys.stdout.write(cat.serialize_modes(modes))
-            return 0
-        for m in modes:
-            print(f"{m.number}. {m.name} — {m.gloss} — {z12.format_pcset(m.members)}")
-        return 0
+        if machine:
+            return cat.serialize_modes(modes)
+        return _lines(f"{m.number}. {m.name} — {m.gloss} — {z12.format_pcset(m.members)}" for m in modes)
     entries = _catalog_entries(args)
-    if args.format == MACHINE:
-        sys.stdout.write(cat.serialize_catalog(entries))
-        return 0
+    if machine:
+        return cat.serialize_catalog(entries)
+    lines = []
     for e in entries:
         label = f" — {e.name}" if e.name else ""
         gloss = f" ({e.gloss})" if e.gloss else ""
-        print(f"{e.id}{label}{gloss}: {rh.format_rhythm(e.rhythm)}")
-    return 0
+        lines.append(f"{e.id}{label}{gloss}: {rh.format_rhythm(e.rhythm)}")
+    return _lines(lines)
 
 
 def _select_entries(args) -> list[cat.TalaEntry]:
@@ -323,64 +266,73 @@ def _select_entries(args) -> list[cat.TalaEntry]:
     return entries
 
 
-def _cmd_catalog_analyze(args) -> int:
+def _cmd_catalog_analyze(args, machine: bool) -> str:
     entries = _select_entries(args)
     reports = [cat.analyze_entry(e) for e in entries]
-    if args.format == MACHINE:
-        print(cat.reports_to_json(reports))
-        return 0
-    blocks = [
-        cat.render_report(report, rhythm=entry.rhythm)
-        for entry, report in zip(entries, reports)
-    ]
-    print("\n\n".join(blocks))
-    return 0
+    if machine:
+        return cat.reports_to_json(reports) + "\n"
+    blocks = [cat.render_report(report, rhythm=entry.rhythm) for entry, report in zip(entries, reports)]
+    return "\n\n".join(blocks) + "\n"
 
 
-def _cmd_catalog_filter(args) -> int:
+def _cmd_catalog_filter(args, machine: bool) -> str:
     entries = cat.filter_catalog(_catalog_entries(args), args.predicate)
-    if args.format == MACHINE:
-        sys.stdout.write(cat.serialize_catalog(entries))
-        return 0
-    for e in entries:
-        print(f"{e.id}: {rh.format_rhythm(e.rhythm)}")
-    return 0
+    if machine:
+        return cat.serialize_catalog(entries)
+    return _lines(f"{e.id}: {rh.format_rhythm(e.rhythm)}" for e in entries)
 
 
 # --- parser ----------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    formatted = shared()
+    formatted.add_argument(
+        "--format",
+        choices=("human", MACHINE),
+        default="human",
+        help="human (default) or machine-readable output",
+    )
+    rhythm_in = shared(formatted)
+    rhythm_in.add_argument("--unit", default="", help="unit label for rhythms given without @unit=")
+    rhythm_in.add_argument("rhythm_text", metavar="RHYTHM", help="durations, e.g. '2 1 2' or '1 1 3/2'")
+    pcset_in = shared(formatted)
+    pcset_in.add_argument("pcset_text", metavar="PCSET", help="e.g. '0 1 3 4' or 'C C# Eb E'")
+    perm_in = shared(formatted)
+    perm_in.add_argument("perm_text", nargs="?", metavar="PERM", help="1-based images, e.g. '2 1 3'")
+    perm_in.add_argument("--chronochromie", action="store_true", help="use the 32-duration interversion")
+
     parser = argparse.ArgumentParser(
         prog="messiaen",
         description="Non-retrogradable rhythms, modes of limited transposition, symmetric permutations.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    # rhythm
-    rhythm_p = verbs.add_parser("rhythm", help="duration-sequence operations")
-    actions = rhythm_p.add_subparsers(dest="action", required=True)
+    def verb(name: str, help_: str, default_parent: argparse.ArgumentParser):
+        actions = verbs.add_parser(name, help=help_).add_subparsers(dest="action", required=True)
 
-    def rhythm_action(name: str, func, help_: str, positional: bool = True):
-        sub = actions.add_parser(name, help=help_)
-        _format_flag(sub)
-        _unit_flag(sub)
-        if positional:
-            sub.add_argument("rhythm_text", metavar="RHYTHM", help="durations, e.g. '2 1 2' or '1 1 3/2'")
-        sub.set_defaults(func=func)
-        return sub
+        def action(name: str, func, help_: str, parent=default_parent) -> argparse.ArgumentParser:
+            sub = actions.add_parser(name, help=help_, parents=[parent])
+            sub.set_defaults(func=func)
+            return sub
 
-    rhythm_action("analyze", _cmd_rhythm_analyze, "palindrome, total, primality, chains")
-    rhythm_action("retrograde", _cmd_rhythm_retrograde, "read the durations backwards")
-    aug = rhythm_action("augment", _cmd_rhythm_augment, "multiply all durations by a ratio")
+        return action
+
+    rhythm = verb("rhythm", "duration-sequence operations", rhythm_in)
+    rhythm("analyze", _cmd_rhythm_analyze, "palindrome, total, primality, chains")
+    rhythm("retrograde", _cmd_rhythm_retrograde, "read the durations backwards")
+    aug = rhythm("augment", _cmd_rhythm_augment, "multiply all durations by a ratio")
     aug.add_argument("--ratio", required=True, help="positive rational, e.g. 2 or 3/2")
-    amp = rhythm_action("amplify", _cmd_rhythm_amplify, "wing + core + retrograde of wing")
+    amp = rhythm("amplify", _cmd_rhythm_amplify, "wing + core + retrograde of wing")
     amp.add_argument("--wing", required=True, metavar="RHYTHM", help="wing durations")
-    eli = rhythm_action("eliminate", _cmd_rhythm_eliminate, "strip k durations from each end")
+    eli = rhythm("eliminate", _cmd_rhythm_eliminate, "strip k durations from each end")
     eli.add_argument("--count", type=int, required=True, metavar="K")
-    cen = rhythm_action("central", _cmd_rhythm_central, "scale the middle duration")
+    cen = rhythm("central", _cmd_rhythm_central, "scale the middle duration")
     cen.add_argument("--ratio", required=True, help="positive rational")
-    can = rhythm_action("canon", _cmd_rhythm_canon, "onset schedule for delayed/scaled voices")
+    can = rhythm("canon", _cmd_rhythm_canon, "onset schedule for delayed/scaled voices")
     can.add_argument(
         "--voice",
         action="append",
@@ -389,87 +341,62 @@ def build_parser() -> argparse.ArgumentParser:
         help="one voice, e.g. 0:1 or 1:3/2 (repeatable)",
     )
 
-    # pcset
-    pcset_p = verbs.add_parser("pcset", help="pitch-class set operations")
-    pactions = pcset_p.add_subparsers(dest="action", required=True)
+    pcset = verb("pcset", "pitch-class set operations", pcset_in)
+    pcset("classify", _cmd_pcset_classify, "identify a catalogued mode and transposition")
+    pcset("period", _cmd_pcset_period, "minimal translation period")
+    pcset("enumerate", _cmd_pcset_enumerate, "all limited-transposition subsets", formatted)
+    pcset("truncated", _cmd_pcset_truncated, "limited transposition but not a catalogued mode")
 
-    def pcset_action(name: str, func, help_: str, positional: bool = True):
-        sub = pactions.add_parser(name, help=help_)
-        _format_flag(sub)
-        if positional:
-            sub.add_argument("pcset_text", metavar="PCSET", help="e.g. '0 1 3 4' or 'C C# Eb E'")
-        sub.set_defaults(func=func)
-        return sub
-
-    pcset_action("classify", _cmd_pcset_classify, "identify a catalogued mode and transposition")
-    pcset_action("period", _cmd_pcset_period, "minimal translation period")
-    pcset_action("enumerate", _cmd_pcset_enumerate, "all limited-transposition subsets", positional=False)
-    pcset_action("truncated", _cmd_pcset_truncated, "limited transposition but not a catalogued mode")
-
-    # perm
-    perm_p = verbs.add_parser("perm", help="permutation operations")
-    xactions = perm_p.add_subparsers(dest="action", required=True)
-
-    def perm_action(name: str, func, help_: str, takes_perm: bool = True):
-        sub = xactions.add_parser(name, help=help_)
-        _format_flag(sub)
-        if takes_perm:
-            sub.add_argument("perm_text", nargs="?", metavar="PERM", help="1-based images, e.g. '2 1 3'")
-            sub.add_argument("--chronochromie", action="store_true", help="use the 32-duration interversion")
-        sub.set_defaults(func=func)
-        return sub
-
-    perm_action("order", _cmd_perm_order, "smallest power returning the identity")
-    perm_action("cycles", _cmd_perm_cycles, "disjoint cycle decomposition")
-    fan_sub = perm_action("fan", _cmd_perm_fan, "center-outward reading of n objects", takes_perm=False)
+    perm = verb("perm", "permutation operations", perm_in)
+    perm("order", _cmd_perm_order, "smallest power returning the identity")
+    perm("cycles", _cmd_perm_cycles, "disjoint cycle decomposition")
+    fan_sub = perm("fan", _cmd_perm_fan, "center-outward reading of n objects", formatted)
     fan_sub.add_argument("size", type=int, metavar="N")
     fan_sub.add_argument("--direction", choices=("left", "right"), default="left")
-    orbit = perm_action("orbit", _cmd_perm_orbit, "iterate on a duration scale until it returns")
+    orbit = perm("orbit", _cmd_perm_orbit, "iterate on a duration scale until it returns")
     orbit.add_argument("--base", metavar="RHYTHM", help="base sequence (default: chromatic durations 1..n)")
     orbit.add_argument("--cap", type=int, default=pm.DEFAULT_ORBIT_CAP, help="iteration hard cap")
-    count = perm_action("count", _cmd_perm_count, "number of permutations of n objects", takes_perm=False)
+    count = perm("count", _cmd_perm_count, "number of permutations of n objects", formatted)
     count.add_argument("size", type=int, metavar="N")
 
-    # catalog
-    catalog_p = verbs.add_parser("catalog", help="seed-data catalogs and reports")
-    cactions = catalog_p.add_subparsers(dest="action", required=True)
+    catalog = verb("catalog", "seed-data catalogs and reports", formatted)
 
-    def catalog_action(name: str, func, help_: str, which_choices):
-        sub = cactions.add_parser(name, help=help_)
-        _format_flag(sub)
+    def catalog_action(name: str, func, help_: str, which_choices=("talas", "quatuor")):
+        sub = catalog(name, func, help_)
         sub.add_argument("--which", choices=which_choices, default="talas", help="catalog to use")
         sub.add_argument("--data", metavar="DIR", help="directory overriding the shipped data files")
-        sub.set_defaults(func=func)
         return sub
 
     catalog_action("list", _cmd_catalog_list, "list entries", ("talas", "quatuor", "modes"))
-    ana = catalog_action("analyze", _cmd_catalog_analyze, "per-entry analysis reports", ("talas", "quatuor"))
+    ana = catalog_action("analyze", _cmd_catalog_analyze, "per-entry analysis reports")
     ana.add_argument("--id", type=int, help="restrict to one entry id")
-    fil = catalog_action("filter", _cmd_catalog_filter, "entries whose report satisfies a predicate", ("talas", "quatuor"))
+    fil = catalog_action("filter", _cmd_catalog_filter, "entries whose report satisfies a predicate")
     fil.add_argument("predicate", choices=sorted(cat.PREDICATES), metavar="PREDICATE",
                      help=", ".join(sorted(cat.PREDICATES)))
-
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv and dispatch; returns the process exit code.
+
+    The only writer of stdout: a handler returns its output text, and
+    the text is printed only once the handler has succeeded.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"erreur de lecture: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        text = args.func(args, args.format == MACHINE)
+    except (ParseError, OSError) as exc:
         print(f"erreur de lecture: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"erreur: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(text)
+    return 0
 
 
 def main() -> None:

@@ -1,9 +1,13 @@
-"""Exception types shared by all modules.
+"""Exception types shared by all modules, and the integer-token reader behind them.
 
 Two families matter to callers: `ParseError` (malformed input text, CLI
 exit code 2) and `DomainError` (well-formed input outside an operation's
 domain, CLI exit code 3).
 """
+
+# Longest digit string read as an integer: the interpreter's default
+# limit on str-to-int conversion.
+MAX_DIGITS = 4300
 
 
 class MessiaenError(Exception):
@@ -18,6 +22,20 @@ class ParseError(MessiaenError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def ascii_int(token: str, line: int | None = None) -> int | None:
+    """Value of a token of ASCII digits 0-9, or None for any other token.
+
+    ``str.isdigit`` and ``int`` also accept other Unicode digits (``²``,
+    ``١``); every text format here is ASCII-only.  A digit token longer
+    than ``MAX_DIGITS`` is a ParseError.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    if len(token) > MAX_DIGITS:
+        raise ParseError(f"integer of {len(token)} digits, more than {MAX_DIGITS}", line)
+    return int(token)
 
 
 class DuplicateId(ParseError):

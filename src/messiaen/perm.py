@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import CapExceeded, DomainError, Empty, NotABijection, ParseError, SizeMismatch
+from .errors import CapExceeded, DomainError, Empty, NotABijection, ParseError, SizeMismatch, ascii_int
 from .rhythm import Rhythm
 
 T = TypeVar("T")
@@ -132,14 +132,9 @@ def fan(n: int, direction: str = "left") -> Perm:
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     m = n // 2
-    if n % 2:
-        positions = [m]
-        left = list(range(m - 1, -1, -1))
-        right = list(range(m + 1, n))
-    else:
-        positions = []
-        left = list(range(m - 1, -1, -1))
-        right = list(range(m, n))
+    positions = [m] if n % 2 else []
+    left = list(range(m - 1, -1, -1))
+    right = list(range(m + n % 2, n))
     sides = [left, right] if direction == "left" else [right, left]
     for i in range(max(len(left), len(right))):
         for side in sides:
@@ -184,7 +179,8 @@ def orbit_table(p: Perm, base: Sequence[T], cap: int = DEFAULT_ORBIT_CAP) -> Orb
     """Iterate p on base until base recurs, recording every reading.
 
     The cap guards against hand-entered permutations whose orbit would be
-    astronomically long.
+    astronomically long; the orbit's length is known before any reading is
+    made, so a refusal costs no rows.
 
     >>> orbit_table(fan(3), (1, 2, 3)).rows
     ((2, 1, 3), (1, 2, 3))
@@ -192,15 +188,23 @@ def orbit_table(p: Perm, base: Sequence[T], cap: int = DEFAULT_ORBIT_CAP) -> Orb
     start = tuple(base)
     if len(start) != len(p):
         raise SizeMismatch(f"base of length {len(start)} under a {len(p)}-point permutation")
-    rows = []
-    current = start
-    while True:
-        current = p.apply(current)
-        rows.append(current)
-        if current == start:
-            return OrbitTable(start, tuple(rows))
-        if len(rows) >= cap:
-            raise CapExceeded(f"orbit did not close within {cap} iterations")
+    # Along each cycle the base values rotate; the base recurs once every
+    # cycle has turned a whole number of its values' minimal periods.
+    length = math.lcm(*(_rotation_period([start[i] for i in c]) for c in p.cycles()))
+    if length > max(cap, 1):
+        raise CapExceeded(f"orbit did not close within {cap} iterations")
+    rows = [p.apply(start)]
+    while len(rows) < length:
+        rows.append(p.apply(rows[-1]))
+    return OrbitTable(start, tuple(rows))
+
+
+def _rotation_period(values: list) -> int:
+    """Smallest d >= 1 with values rotated by d equal to values."""
+    n = len(values)
+    # Testing one value first spares building a rotation for most d.
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and values[d % n] == values[0] and values[d:] + values[:d] == values)
 
 
 def permutation_count(n: int) -> int:
@@ -225,9 +229,10 @@ def parse_perm(text: str) -> Perm:
         raise ParseError("empty permutation text")
     images = []
     for tok in tokens:
-        if not tok.isdigit():
+        index = ascii_int(tok)
+        if index is None:
             raise ParseError(f"not a 1-based index: {tok!r}")
-        images.append(int(tok) - 1)
+        images.append(index - 1)
     try:
         return Perm(images)
     except NotABijection as exc:

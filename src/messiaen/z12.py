@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DegenerateSet, ParseError
+from .errors import DegenerateSet, ParseError, ascii_int
 
 PcSet = frozenset[int]
 
@@ -171,8 +171,8 @@ def parse_pcset(text: str) -> PcSet:
     if not tokens:
         raise ParseError("empty pitch-class set text")
     for tok in tokens:
-        if tok.isdigit():
-            v = int(tok)
+        v = ascii_int(tok)
+        if v is not None:
             if v > 11:
                 raise ParseError(f"pitch class out of range 0..11: {tok}")
             members.add(v)

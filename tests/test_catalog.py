@@ -3,11 +3,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from messiaen import z12
 from messiaen.catalog import (
     AnalysisReport,
     PREDICATES,
+    ModeEntry,
     TalaEntry,
     analyze_entry,
     analyze_rhythm,
@@ -23,8 +26,9 @@ from messiaen.catalog import (
     serialize_catalog,
     serialize_modes,
 )
-from messiaen.errors import BadPredicate, DuplicateId, ParseError
+from messiaen.errors import BadPredicate, DomainError, DuplicateId, ParseError
 from messiaen.rhythm import (
+    Rhythm,
     detect_augmentation_chain,
     interleave_profile,
     is_non_retrogradable,
@@ -217,3 +221,64 @@ def test_render_report_human_block():
     assert "chaîne d'augmentation: préfixe 1 1 1, rapports 2" in text
     text = render_report(analyze_entry(by_id[18]))
     assert "total premier: — (total non entier)" in text
+
+
+# --- every entry reloads equal or is refused when written -------------------
+
+
+def test_load_catalog_reads_ascii_ids_only():
+    for line in ("²|a||1", "١|a||1", "7" * 5000 + "|a||1"):
+        with pytest.raises(ParseError) as err:
+            load_catalog(["# header", line])
+        assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        TalaEntry(1, "a|b", "", rhythm([1])),
+        TalaEntry(1, "a\nb", "", rhythm([1])),
+        TalaEntry(1, "a\u2028b", "", rhythm([1])),
+        TalaEntry(1, " a", "", rhythm([1])),
+        TalaEntry(1, "", "glose ", rhythm([1])),
+        TalaEntry(1, "", "", rhythm([1]), "a|b"),
+        TalaEntry(1, "", "", rhythm([1], unit="a|b")),
+        TalaEntry(1, "", "", rhythm([1], unit=" a")),
+        TalaEntry(0, "", "", rhythm([1])),
+    ],
+)
+def test_serialize_catalog_refuses_fields_that_do_not_reload(entry):
+    with pytest.raises(DomainError):
+        serialize_catalog([entry])
+
+
+def test_serialize_refuses_duplicate_ids_and_empty_modes():
+    with pytest.raises(DomainError):
+        serialize_catalog([TalaEntry(1, "", "", rhythm([1]))] * 2)
+    with pytest.raises(DomainError):
+        serialize_modes([ModeEntry(1, "vide", "", frozenset())])
+
+
+_text = st.text(st.sampled_from("ab |#@=\t\n\r\x0b\x1c\x85\u2028é"), max_size=6)
+_entries = st.builds(
+    TalaEntry,
+    id=st.integers(-2, 10**6),
+    name=_text,
+    gloss=_text,
+    rhythm=st.builds(
+        Rhythm,
+        st.lists(st.fractions(min_value=F(1, 10**6), max_value=10**6), min_size=1, max_size=5).map(tuple),
+        _text,
+    ),
+    source_note=_text,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entries)
+def test_every_entry_reloads_equal_or_is_refused(entry):
+    try:
+        text = serialize_catalog([entry])
+    except DomainError:
+        return
+    assert load_catalog(text.splitlines()) == [entry]

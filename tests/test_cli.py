@@ -1,11 +1,13 @@
 import json
+import math
+import time
 
 import pytest
 
 from messiaen import catalog as cat
 from messiaen import perm as pm
 from messiaen import z12
-from messiaen.cli import run
+from messiaen.cli import COUNT_MAX, build_parser, run
 from messiaen.rhythm import (
     augment,
     build_canon,
@@ -312,3 +314,70 @@ def test_golden_matrix_size():
         + 2  # catalog analyze
     )
     assert total >= 30
+
+
+# --- inputs that ended in a traceback, a hang or a wrong acceptance ----------
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pcset", "period", "²"),
+        ("perm", "order", "²"),
+        ("rhythm", "analyze", "١ ٢ ١"),
+        ("rhythm", "analyze", LONG),
+        ("pcset", "period", LONG),
+        ("perm", "order", LONG),
+    ],
+)
+def test_non_ascii_or_overlong_integers_exit_2(cli, argv):
+    code, out, err = cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("erreur de lecture: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_perm_count_prints_every_digit(cli, fmt):
+    code, out, err = cli("perm", "count", "2000", "--format", fmt)
+    assert code == 0 and err == ""
+    *label, digits = out.split()
+    assert label == (["2000!", "="] if fmt == "human" else []) and out.endswith("\n")
+    assert len(digits) == 5736
+    # read back in two pieces, each under the interpreter's digit limit
+    assert int(digits[:2000]) * 10**3736 + int(digits[2000:]) == math.factorial(2000)
+
+
+def test_perm_count_refuses_above_its_bound(cli):
+    code, out, err = cli("perm", "count", str(COUNT_MAX + 1))
+    assert code == 3 and out == "" and err.startswith("erreur: ")
+    code, out, _ = cli("perm", "count", str(COUNT_MAX), "--format", "machine")
+    assert code == 0 and len(out) > 77_000
+
+
+def test_analyze_of_a_large_prime_total_is_quick(cli):
+    start = time.perf_counter()
+    code, out, _ = cli("rhythm", "analyze", "2305843009213693951")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "total premier: oui" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rhythm", "analyze", "2 1 2"),
+        ("pcset", "enumerate"),
+        ("perm", "fan", "4"),
+        ("catalog", "analyze", "--id", "58"),
+        ("catalog", "list", "--which", "modes"),
+    ],
+)
+@pytest.mark.parametrize("machine", [False, True])
+def test_handlers_return_their_output_and_print_nothing(capsys, argv, machine):
+    args = build_parser().parse_args(list(argv))
+    text = args.func(args, machine)
+    assert capsys.readouterr() == ("", "")
+    run([*argv, "--format", "machine" if machine else "human"])
+    assert capsys.readouterr().out == text

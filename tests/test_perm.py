@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -217,3 +218,52 @@ def test_parse_and_format():
 def test_parse_perm_rejects(bad):
     with pytest.raises(ParseError):
         parse_perm(bad)
+
+
+@pytest.mark.parametrize("bad", ["²", "2 ١", "1 " + "7" * 5000])
+def test_parse_perm_reads_ascii_digits_only(bad):
+    with pytest.raises(ParseError):
+        parse_perm(bad)
+
+
+def _orbit_by_iteration(p, base, cap):
+    """The orbit table as the plain loop builds it, checking the cap after each row."""
+    start, rows, current = tuple(base), [], tuple(base)
+    while True:
+        current = p.apply(current)
+        rows.append(current)
+        if current == start:
+            return tuple(rows)
+        if len(rows) >= cap:
+            raise CapExceeded(f"orbit did not close within {cap} iterations")
+
+
+def test_orbit_table_cap_matches_iteration():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        images = list(range(n))
+        rng.shuffle(images)
+        p, base = Perm(images), [rng.randint(1, 3) for _ in range(n)]
+        for cap in range(-1, 18):
+            try:
+                expected = _orbit_by_iteration(p, base, cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded, match=str(exc)):
+                    orbit_table(p, base, cap=cap)
+            else:
+                assert orbit_table(p, base, cap=cap).rows == expected
+
+
+def test_orbit_table_refuses_before_building_rows():
+    # cycles of lengths 2, 3, 5, ..., 19 on 77 points: order 9 699 690
+    images, offset = [], 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        images += [offset + (i + 1) % length for i in range(length)]
+        offset += length
+    p = Perm(images)
+    assert p.order() == 9_699_690
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        orbit_table(p, tuple(range(77)), cap=200_000)
+    assert time.perf_counter() - start < 0.1

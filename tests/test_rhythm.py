@@ -318,3 +318,55 @@ def test_format_parse_round_trip():
         assert parse_rhythm(format_rhythm(r)) == r
     labeled = rhythm(["3/2", 2], unit="triple croche")
     assert parse_rhythm(format_rhythm(labeled)) == labeled
+
+
+# --- ASCII-only tokens and exact primality -------------------------------
+
+
+@pytest.mark.parametrize("bad", ["١ ٢ ١", "²", "1/²", "7" * 5000, "1/" + "7" * 5000])
+def test_parse_rhythm_reads_ascii_digits_only(bad):
+    with pytest.raises(ParseError):
+        parse_rhythm(bad)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    from messiaen.rhythm import _is_prime
+
+    assert all(_is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize(
+    "n,prime",
+    [
+        (2**61 - 1, True),
+        ((2**61 - 1) * 1_000_003, False),  # two primes, product just below the bound
+        (3_215_031_751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (825_265, False),
+        (321_197_185, False),
+        (5_394_826_801, False),
+        (232_250_619_601, False),
+        (9_746_347_772_161, False),
+        (56_052_361, False),  # 211 * 421 * 631, a Carmichael number with no factor among the bases
+        (118_901_521, False),  # 271 * 541 * 811, likewise
+    ],
+)
+def test_is_prime_hard_cases(n, prime):
+    from messiaen.rhythm import _is_prime
+
+    assert _is_prime(n) is prime
+
+
+def test_is_prime_refuses_to_guess_above_its_bound():
+    from messiaen.rhythm import PRIME_BOUND, _is_prime
+
+    # the bound itself is a strong pseudoprime to all 13 bases
+    with pytest.raises(DomainError):
+        _is_prime(PRIME_BOUND)
+    # a small factor still decides exactly
+    assert _is_prime(PRIME_BOUND + 1) is False

@@ -190,3 +190,9 @@ def test_pcset_validates_range():
         pcset({0, 12})
     with pytest.raises(ValueError):
         pcset({-1})
+
+
+@pytest.mark.parametrize("bad", ["²", "١", "0 ٣", "7" * 5000])
+def test_parse_pcset_reads_ascii_digits_only(bad):
+    with pytest.raises(ParseError):
+        parse_pcset(bad)
