@@ -34,6 +34,7 @@ from .rhythm import (
     SequenceShape,
     detect_augmentation_chain,
     format_rhythm,
+    format_values,
     interleave_profile,
     is_non_retrogradable,
     is_prime_total,
@@ -42,10 +43,6 @@ from .rhythm import (
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
-
-# Characters that str.splitlines() ends a line at: a field holding one
-# would not come back as one line.
-_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: Cal
 
 def _fits(text: str) -> bool:
     """Whether text reads back unchanged from a cell of a catalog line."""
-    return "|" not in text and _LINE_BREAKS.isdisjoint(text) and text == text.strip()
+    return "|" not in text and text == text.strip() and len(text.splitlines()) < 2
 
 
 def _dump(rows: Iterable[tuple], format_payload: Callable) -> str:
@@ -108,23 +105,17 @@ def _dump(rows: Iterable[tuple], format_payload: Callable) -> str:
     lines = []
     seen: set[int] = set()
     for ident, name, gloss, payload, note in rows:
+        cells = [format_values([ident]), name, gloss, format_payload(payload)] + ([note] if note else [])
         if ident < 1 or ident in seen:
-            raise DomainError(f"id {ident} is not positive or not unique")
+            raise DomainError(f"id {cells[0]} is not positive or not unique")
         seen.add(ident)
-        cells = [str(ident), name, gloss, format_payload(payload)] + ([note] if note else [])
         if not cells[3] or not all(map(_fits, cells)):
             raise DomainError(
-                f"entry {ident} does not fit a catalog line: a field holds '|' or a line"
+                f"entry {cells[0]} does not fit a catalog line: a field holds '|' or a line"
                 " break, starts or ends with white space, or the payload is empty"
             )
         lines.append("|".join(cells) + "\n")
     return "".join(lines)
-
-
-def _rhythm_cell(r: Rhythm) -> str:
-    if not _fits(r.unit):
-        raise DomainError(f"unit {r.unit!r} does not fit a catalog line")
-    return format_rhythm(r)
 
 
 def load_catalog(source: Iterable[str]) -> list[TalaEntry]:
@@ -143,7 +134,7 @@ def load_modes(source: Iterable[str]) -> list[ModeEntry]:
 
 def serialize_catalog(entries: Iterable[TalaEntry]) -> str:
     """Canonical catalog text, one line per entry, loadable by :func:`load_catalog`."""
-    return _dump(((e.id, e.name, e.gloss, e.rhythm, e.source_note) for e in entries), _rhythm_cell)
+    return _dump(((e.id, e.name, e.gloss, e.rhythm, e.source_note) for e in entries), format_rhythm)
 
 
 def serialize_modes(entries: Iterable[ModeEntry]) -> str:
@@ -244,41 +235,23 @@ def filter_catalog(entries: Iterable[TalaEntry], predicate: str) -> list[TalaEnt
 
 
 def _shape_dict(shape: SequenceShape) -> dict:
-    return {
-        "values": [str(v) for v in shape.values],
-        "constant": shape.constant,
-        "increasing": shape.increasing,
-        "decreasing": shape.decreasing,
-        "unimodal": shape.unimodal,
-    }
+    return {**vars(shape), "values": format_values(shape.values).split(" ")}
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Machine form of a report with stable English keys; rationals as n/d text."""
-    out: dict = {}
-    if report.entry_id is not None:
-        out["id"] = report.entry_id
-    out["non_retrogradable"] = report.non_retrogradable
-    out["total"] = str(report.total)
-    out["prime_total"] = report.prime_total
-    chain = report.augmentation_chain
-    out["augmentation_chain"] = (
-        None
-        if chain is None
-        else {
+    chain, profile = report.augmentation_chain, report.interleave
+    return {
+        **({} if report.entry_id is None else {"id": report.entry_id}),
+        "non_retrogradable": report.non_retrogradable,
+        "total": format_values([report.total]),
+        "prime_total": report.prime_total,
+        "augmentation_chain": None if chain is None else {
             "prefix": format_rhythm(chain.prefix, with_unit=False),
-            "ratios": [str(q) for q in chain.ratios],
-        }
-    )
-    out["interleave"] = (
-        None
-        if report.interleave is None
-        else {
-            "odd": _shape_dict(report.interleave.odd),
-            "even": _shape_dict(report.interleave.even),
-        }
-    )
-    return out
+            "ratios": format_values(chain.ratios).split(" "),
+        },
+        "interleave": None if profile is None else {k: _shape_dict(v) for k, v in vars(profile).items()},
+    }
 
 
 def _oui(flag: bool) -> str:
@@ -297,15 +270,14 @@ def _shape_label(shape: SequenceShape) -> str:
     return "irrégulière"
 
 
-def render_report(report: AnalysisReport, rhythm: Optional[Rhythm] = None) -> str:
-    """Human-readable key/value block for one report (French labels)."""
+def render_report(report: AnalysisReport, rhythm: Rhythm) -> str:
+    """Human-readable key/value block for the report on a rhythm (French labels)."""
     lines = []
     if report.entry_id is not None:
         lines.append(f"id: {report.entry_id}")
-    if rhythm is not None:
-        lines.append(f"durées: {format_rhythm(rhythm)}")
+    lines.append(f"durées: {format_rhythm(rhythm)}")
     lines.append(f"non rétrogradable: {_oui(report.non_retrogradable)}")
-    lines.append(f"durée totale: {report.total}")
+    lines.append(f"durée totale: {format_values([report.total])}")
     if report.prime_total is None:
         lines.append("total premier: — (total non entier)")
     else:
@@ -314,17 +286,14 @@ def render_report(report: AnalysisReport, rhythm: Optional[Rhythm] = None) -> st
     if chain is None:
         lines.append("chaîne d'augmentation: aucune")
     else:
-        ratios = " ".join(str(q) for q in chain.ratios)
         lines.append(
             "chaîne d'augmentation: préfixe "
-            f"{format_rhythm(chain.prefix, with_unit=False)}, rapports {ratios}"
+            f"{format_rhythm(chain.prefix, with_unit=False)}, rapports {format_values(chain.ratios)}"
         )
     if report.interleave is not None:
         odd, even = report.interleave.odd, report.interleave.even
-        odd_vals = " ".join(str(v) for v in odd.values)
-        even_vals = " ".join(str(v) for v in even.values)
-        lines.append(f"rangs impairs: {odd_vals} ({_shape_label(odd)})")
-        lines.append(f"rangs pairs: {even_vals} ({_shape_label(even)})")
+        lines.append(f"rangs impairs: {format_values(odd.values)} ({_shape_label(odd)})")
+        lines.append(f"rangs pairs: {format_values(even.values)} ({_shape_label(even)})")
     return "\n".join(lines)
 
 

@@ -46,6 +46,14 @@ def _lines(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
+def _int_flag(text: str) -> int:
+    """``type=int`` of every flag: ``int`` of ASCII text, so ``+5``, ``-1`` and
+    ``1_0`` read; a non-ASCII digit such as ``١`` is a ParseError (exit 2)."""
+    if not text.isascii():
+        raise ParseError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _decimal(n: int) -> str:
     """Decimal text of a nonnegative int of any size, converted in chunks
     shorter than the interpreter's int-to-str limit."""
@@ -73,7 +81,7 @@ def _cmd_rhythm_augment(args, machine: bool) -> str:
     out = rh.augment(_rhythm_arg(args), ratio)
     kind = rh.augmentation_kind(ratio)
     label = "identité" if kind == "identity" else kind
-    return _rhythm_result(out, machine, f"{label} (rapport {ratio})")
+    return _rhythm_result(out, machine, f"{label} (rapport {rh.format_values([ratio])})")
 
 
 def _cmd_rhythm_amplify(args, machine: bool) -> str:
@@ -103,25 +111,19 @@ def _cmd_rhythm_canon(args, machine: bool) -> str:
     subject = _rhythm_arg(args)
     voices = [_parse_voice(v) for v in args.voice]
     sched = rh.build_canon(subject, voices)
+    heads = [rh.format_values([v.delay, v.ratio, v.end]).split() for v in sched.voices]
+    onsets = [rh.format_values(v.onsets) for v in sched.voices]
+    times = rh.format_values(t for t, _, _ in sched.events).split()
     if machine:
+        durations = rh.format_values(d for _, _, d in sched.events).split()
         return _json({
             "subject": rh.format_rhythm(subject),
-            "voices": [
-                {
-                    "delay": str(v.delay),
-                    "ratio": str(v.ratio),
-                    "onsets": [str(t) for t in v.onsets],
-                    "end": str(v.end),
-                }
-                for v in sched.voices
-            ],
-            "events": [[str(t), i + 1, str(d)] for t, i, d in sched.events],
+            "voices": [{"delay": d, "ratio": q, "onsets": o.split(), "end": e} for (d, q, e), o in zip(heads, onsets)],
+            "events": [[t, i + 1, d] for t, (_, i, _), d in zip(times, sched.events, durations)],
         })
-    lines = []
-    for i, v in enumerate(sched.voices, start=1):
-        onsets = " ".join(str(t) for t in v.onsets)
-        lines.append(f"voix {i}: départ {v.delay}, rapport {v.ratio}, attaques {onsets}, fin {v.end}")
-    merged = "  ".join(f"{t} (voix {i + 1})" for t, i, _ in sched.events)
+    lines = [f"voix {i}: départ {d}, rapport {q}, attaques {o}, fin {e}"
+             for i, ((d, q, e), o) in enumerate(zip(heads, onsets), start=1)]
+    merged = "  ".join(f"{t} (voix {i + 1})" for t, (_, i, _) in zip(times, sched.events))
     return _lines(lines + [f"événements: {merged}"])
 
 
@@ -205,8 +207,8 @@ def _cmd_perm_fan(args, machine: bool) -> str:
     return _lines([
         f"éventail sur {args.size} objets (du centre vers les extrêmes, départ à {side})",
         f"permutation: {pm.format_perm(p)}",
-        f"suites itérées depuis {' '.join(str(i) for i in table.base)}:",
-        *(f"  {i}: {' '.join(str(x) for x in row)}" for i, row in enumerate(table.rows, start=1)),
+        f"suites itérées depuis {rh.format_values(table.base)}:",
+        *(f"  {i}: {rh.format_values(row)}" for i, row in enumerate(table.rows, start=1)),
         f"ordre = {table.order} "
         f"(la liste compte {table.order + 1} suites quand on répète la suite initiale à la fin)",
     ])
@@ -219,7 +221,7 @@ def _cmd_perm_orbit(args, machine: bool) -> str:
     else:
         base = pm.chromatic_durations(len(p)).durations
     table = pm.orbit_table(p, base, cap=args.cap)
-    rows = [" ".join(str(x) for x in row) for row in table.rows]
+    rows = [rh.format_values(row) for row in table.rows]
     if machine:
         return _lines(rows)
     return _lines([f"{i}: {row}" for i, row in enumerate(rows, start=1)] + [f"ordre = {table.order}"])
@@ -317,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         def action(name: str, func, help_: str, parent=default_parent) -> argparse.ArgumentParser:
             sub = actions.add_parser(name, help=help_, parents=[parent])
             sub.set_defaults(func=func)
+            sub.register("type", int, _int_flag)
             return sub
 
         return action
@@ -385,10 +388,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        text = args.func(args, args.format == MACHINE)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        text = args.func(args, args.format == MACHINE)
     except (ParseError, OSError) as exc:
         print(f"erreur de lecture: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from .rhythm import Rhythm
 T = TypeVar("T")
 
 DEFAULT_ORBIT_CAP = 1_000_000
+CHROMATIC_UNIT = "triple croche"
 
 # Interversion order used in the 32-duration chromatic scale movements of
 # Chronochromie, as 1-based images: the first value of the reordered
@@ -131,16 +132,9 @@ def fan(n: int, direction: str = "left") -> Perm:
         raise Empty(f"fan size must be at least 1, got {n}")
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    m = n // 2
-    positions = [m] if n % 2 else []
-    left = list(range(m - 1, -1, -1))
-    right = list(range(m + n % 2, n))
-    sides = [left, right] if direction == "left" else [right, left]
-    for i in range(max(len(left), len(right))):
-        for side in sides:
-            if i < len(side):
-                positions.append(side[i])
-    return Perm(positions)
+    # Nearest the center first; of two equally near, the one on the starting side.
+    side = 1 if direction == "left" else -1
+    return Perm(sorted(range(n), key=lambda i: (abs(2 * i - n + 1), side * i)))
 
 
 def chronochromie() -> Perm:
@@ -148,7 +142,7 @@ def chronochromie() -> Perm:
     return Perm(i - 1 for i in _CHRONOCHROMIE_ONE_BASED)
 
 
-def chromatic_durations(n: int, unit: str = "triple croche") -> Rhythm:
+def chromatic_durations(n: int) -> Rhythm:
     """The chromatic scale of durations 1, 2, ..., n in base units.
 
     >>> chromatic_durations(3).durations
@@ -156,7 +150,7 @@ def chromatic_durations(n: int, unit: str = "triple croche") -> Rhythm:
     """
     if n < 1:
         raise Empty(f"need at least one duration, got {n}")
-    return Rhythm(tuple(Fraction(i) for i in range(1, n + 1)), unit)
+    return Rhythm(tuple(Fraction(i) for i in range(1, n + 1)), CHROMATIC_UNIT)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ non-retrogradability) are exact rational comparisons.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    MAX_DIGITS,
     BadRatio,
     DomainError,
     NoCenter,
@@ -71,7 +73,7 @@ class Rhythm:
             raise ValueError("a rhythm needs at least one duration")
         for d in coerced:
             if d <= 0:
-                raise ValueError(f"durations must be strictly positive, got {d}")
+                raise ValueError(f"durations must be strictly positive, got {_shown(d)}")
         object.__setattr__(self, "durations", coerced)
 
     def __len__(self) -> int:
@@ -130,7 +132,7 @@ def augment(r: Rhythm, ratio: RatioLike) -> Rhythm:
     """
     q = as_fraction(ratio)
     if q <= 0:
-        raise BadRatio(f"ratio must be strictly positive, got {q}")
+        raise BadRatio(f"ratio must be strictly positive, got {_shown(q)}")
     return Rhythm(tuple(d * q for d in r.durations), r.unit)
 
 
@@ -161,7 +163,7 @@ def scale_central(r: Rhythm, ratio: RatioLike) -> Rhythm:
     """Multiply the middle duration of an odd-length rhythm by a positive ratio."""
     q = as_fraction(ratio)
     if q <= 0:
-        raise BadRatio(f"ratio must be strictly positive, got {q}")
+        raise BadRatio(f"ratio must be strictly positive, got {_shown(q)}")
     if len(r) % 2 == 0:
         raise NoCenter(f"no central value in an even-length rhythm ({len(r)} durations)")
     mid = len(r) // 2
@@ -210,7 +212,7 @@ def is_prime_total(r: Rhythm) -> bool:
     """
     total = total_duration(r)
     if total.denominator != 1:
-        raise NonIntegerTotal(f"total duration {total} is not a whole number of units")
+        raise NonIntegerTotal(f"total duration {_shown(total)} is not a whole number of units")
     return _is_prime(total.numerator)
 
 
@@ -345,9 +347,9 @@ def build_canon(
         delay = as_fraction(delay_in)
         ratio = as_fraction(ratio_in)
         if delay < 0:
-            raise DomainError(f"voice delay must be nonnegative, got {delay}")
+            raise DomainError(f"voice delay must be nonnegative, got {_shown(delay)}")
         if ratio <= 0:
-            raise BadRatio(f"voice ratio must be strictly positive, got {ratio}")
+            raise BadRatio(f"voice ratio must be strictly positive, got {_shown(ratio)}")
         onsets = tuple(delay + ratio * p for p in prefix[:-1])
         built.append(Voice(delay, ratio, onsets, delay + ratio * prefix[-1]))
     events = sorted(
@@ -382,13 +384,48 @@ def parse_rhythm(text: str) -> Rhythm:
     return Rhythm(tuple(durations), unit)
 
 
+def format_values(values: Iterable[RatioLike]) -> str:
+    """The one writer of exact values: ``n`` or ``n/d`` separated by single
+    spaces, each read back by :func:`as_fraction`.
+
+    A value whose numerator or denominator has more than ``MAX_DIGITS``
+    digits, which no reader here accepts, is a DomainError; so is one
+    past a lower int-to-str limit set in the interpreter.
+
+    >>> format_values([Fraction(3, 2), 2])
+    '3/2 2'
+    """
+    try:
+        text = " ".join(map(str, values))
+    except ValueError:  # past the interpreter's int-to-str limit, which may be lower
+        text = None
+    # Only a text longer than the bound can hold a part longer than it.
+    if text is None or (len(text) > MAX_DIGITS
+                        and max(map(len, text.replace("/", " ").replace("-", " ").split())) > MAX_DIGITS):
+        bound = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
+        raise DomainError(f"a numerator or denominator has more than {bound} digits")
+    return text
+
+
+def _shown(value: RatioLike) -> str:
+    try:  # a value in an error message, which must not raise in turn
+        return format_values([value])
+    except DomainError as exc:
+        return f"a value where {exc}"
+
+
 def format_rhythm(r: Rhythm, with_unit: bool = True) -> str:
     """Canonical text form, re-read by :func:`parse_rhythm`.
+
+    A unit that starts or ends with white space would not read back
+    (``parse_rhythm`` strips it): it is a DomainError.
 
     >>> format_rhythm(rhythm(["3/2", 2]))
     '3/2 2'
     """
-    body = " ".join(str(d) for d in r.durations)
-    if with_unit and r.unit:
-        return f"{body} @unit={r.unit}"
-    return body
+    body = format_values(r.durations)
+    if not (with_unit and r.unit):
+        return body
+    if r.unit != r.unit.strip():
+        raise DomainError(f"unit {r.unit!r} starts or ends with white space")
+    return f"{body} @unit={r.unit}"

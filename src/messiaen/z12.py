@@ -30,7 +30,14 @@ MODES: tuple[PcSet, ...] = (
     frozenset({0, 1, 2, 3, 5, 6, 7, 8, 9, 11}),
 )
 
-_NOTE_NAMES = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
+# Every note-name spelling parse_pcset reads: a letter in either case,
+# bare or with one '#', 'b' or 'B'.
+_SPELLINGS = {
+    letter + accidental: (pc + shift) % 12
+    for name, pc in (("c", 0), ("d", 2), ("e", 4), ("f", 5), ("g", 7), ("a", 9), ("b", 11))
+    for letter in (name, name.upper())
+    for accidental, shift in (("", 0), ("#", 1), ("b", -1), ("B", -1))
+}
 
 # Note-name spellings for rendering, flats for the black keys.
 _PITCH_LABELS = ("C", "Db", "D", "Eb", "E", "F", "Gb", "G", "Ab", "A", "Bb", "B")
@@ -172,23 +179,13 @@ def parse_pcset(text: str) -> PcSet:
         raise ParseError("empty pitch-class set text")
     for tok in tokens:
         v = ascii_int(tok)
-        if v is not None:
-            if v > 11:
-                raise ParseError(f"pitch class out of range 0..11: {tok}")
-            members.add(v)
-            continue
-        name = tok[0].lower()
-        if name not in _NOTE_NAMES or len(tok) > 2:
-            raise ParseError(f"not a pitch class or note name: {tok!r}")
-        v = _NOTE_NAMES[name]
-        if len(tok) == 2:
-            if tok[1] == "#":
-                v += 1
-            elif tok[1] in ("b", "B"):
-                v -= 1
-            else:
+        if v is None:
+            v = _SPELLINGS.get(tok)
+            if v is None:
                 raise ParseError(f"not a pitch class or note name: {tok!r}")
-        members.add(v % 12)
+        elif v > 11:
+            raise ParseError(f"pitch class out of range 0..11: {tok}")
+        members.add(v)
     return frozenset(members)
 
 

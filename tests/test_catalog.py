@@ -217,9 +217,9 @@ def test_render_report_human_block():
     assert "non rétrogradable: oui" in text
     assert "durée totale: 5" in text
     assert "total premier: oui" in text
-    text = render_report(analyze_entry(by_id[73]))
+    text = render_report(analyze_entry(by_id[73]), rhythm=by_id[73].rhythm)
     assert "chaîne d'augmentation: préfixe 1 1 1, rapports 2" in text
-    text = render_report(analyze_entry(by_id[18]))
+    text = render_report(analyze_entry(by_id[18]), rhythm=by_id[18].rhythm)
     assert "total premier: — (total non entier)" in text
 
 
@@ -262,12 +262,17 @@ def test_serialize_refuses_duplicate_ids_and_empty_modes():
 _text = st.text(st.sampled_from("ab |#@=\t\n\r\x0b\x1c\x85\u2028é"), max_size=6)
 _entries = st.builds(
     TalaEntry,
-    id=st.integers(-2, 10**6),
+    id=st.integers(-2, 10**6) | st.integers(10**4299, 10**4301),
     name=_text,
     gloss=_text,
     rhythm=st.builds(
         Rhythm,
-        st.lists(st.fractions(min_value=F(1, 10**6), max_value=10**6), min_size=1, max_size=5).map(tuple),
+        st.lists(
+            st.fractions(min_value=F(1, 10**6), max_value=10**6)
+            | st.builds(F, st.integers(1, 10**4301), st.integers(1, 10**4301)),
+            min_size=1,
+            max_size=5,
+        ).map(tuple),
         _text,
     ),
     source_note=_text,

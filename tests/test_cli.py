@@ -331,12 +331,57 @@ LONG = "7" * 5000
         ("rhythm", "analyze", LONG),
         ("pcset", "period", LONG),
         ("perm", "order", LONG),
+        ("rhythm", "eliminate", "--count", "١", "1 2 3"),
+        ("catalog", "analyze", "--id", "١"),
+        ("perm", "orbit", "--cap", "١", "2 1"),
+        ("perm", "fan", "٣"),
+        ("perm", "count", "١"),
     ],
 )
 def test_non_ascii_or_overlong_integers_exit_2(cli, argv):
     code, out, err = cli(*argv)
     assert code == 2 and out == ""
     assert err.startswith("erreur de lecture: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("rhythm", "eliminate", "--count", "+1", "1 2 3", "--format", "machine"), (0, "2\n")),
+        (("rhythm", "eliminate", "--count", "-1", "1 2 3"), (3, "")),
+        (("perm", "count", "1_0"), (0, "10! = 3628800\n")),
+    ],
+)
+def test_integer_flags_read_sign_and_underscores(cli, argv, expected):
+    code, out, _ = cli(*argv)
+    assert (code, out) == expected
+
+
+N = "9" * 4300
+M = "9" * 4299 + "7"  # N - 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rhythm", "augment", "--ratio", N, N),
+        ("rhythm", "analyze", f"{N} {N}"),
+        ("rhythm", "analyze", f"1/{N} 1/{M}"),
+        ("rhythm", "canon", "--voice", f"0:{N}", f"{N} 1"),
+        ("rhythm", "canon", "--voice", f"0:{N}", f"{N} 1", "--format", "machine"),
+    ],
+)
+def test_results_past_the_digit_bound_exit_3(cli, argv):
+    code, out, err = cli(*argv)
+    assert code == 3 and out == ""
+    assert err.startswith("erreur: ") and err.count("\n") == 1
+
+
+def test_units_with_edge_white_space_are_refused(cli):
+    code, out, err = cli("rhythm", "retrograde", "--format", "machine", "--unit", " x", "1 2")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    code, out, _ = cli("rhythm", "retrograde", "--format", "machine", "--unit", "x y", "1 2")
+    assert code == 0 and parse_rhythm(out) == rhythm([2, 1], unit="x y")
 
 
 @pytest.mark.parametrize("fmt", ["human", "machine"])

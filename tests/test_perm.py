@@ -4,6 +4,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from messiaen.errors import (
     CapExceeded,
@@ -115,6 +117,32 @@ def test_fan_direction():
     assert fan(4, direction="right").apply((1, 2, 3, 4)) == (3, 2, 4, 1)
     with pytest.raises(ValueError):
         fan(3, direction="sideways")
+
+
+def _fan_by_alternation(n, direction):
+    """The alternating loop fan() was first written as: the reference."""
+    m = n // 2
+    positions = [m] if n % 2 else []
+    left = list(range(m - 1, -1, -1))
+    right = list(range(m + n % 2, n))
+    sides = [left, right] if direction == "left" else [right, left]
+    for i in range(max(len(left), len(right))):
+        for side in sides:
+            if i < len(side):
+                positions.append(side[i])
+    return positions
+
+
+def test_fan_matches_the_alternating_loop():
+    for n in range(1, 301):
+        for direction in ("left", "right"):
+            assert list(fan(n, direction).mapping) == _fan_by_alternation(n, direction), (n, direction)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_parse_perm_reads_back_format_perm(mapping):
+    p = Perm(mapping)
+    assert parse_perm(format_perm(p)) == p
 
 
 def test_fan_order_closes_for_all_sizes():

@@ -1,9 +1,13 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from messiaen.errors import (
+    MAX_DIGITS,
     BadRatio,
     DomainError,
     NoCenter,
@@ -22,6 +26,7 @@ from messiaen.rhythm import (
     detect_augmentation_chain,
     eliminate_extremes,
     format_rhythm,
+    format_values,
     interleave_profile,
     is_non_retrogradable,
     is_prime_total,
@@ -318,6 +323,72 @@ def test_format_parse_round_trip():
         assert parse_rhythm(format_rhythm(r)) == r
     labeled = rhythm(["3/2", 2], unit="triple croche")
     assert parse_rhythm(format_rhythm(labeled)) == labeled
+
+
+# --- the writer's bound and the rhythm text round trip ----------------------
+
+
+def test_format_values_bound_does_not_depend_on_the_interpreter_limit():
+    widest = 10**MAX_DIGITS - 1
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (saved, 0):
+            sys.set_int_max_str_digits(limit)
+            assert format_values([F(1, widest), -widest, 2]).split(" ")[1] == "-" + "9" * MAX_DIGITS
+            for value in (F(10**MAX_DIGITS), F(1, 10**MAX_DIGITS), F(widest + 2, widest)):
+                with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+                    format_values([1, value])
+        # Under a lower interpreter limit the refusal names that limit.
+        sys.set_int_max_str_digits(640)
+        assert format_values([10**639]) == "1" + "0" * 639
+        with pytest.raises(DomainError, match="more than 640 digits"):
+            format_values([1, F(1, 10**1000)])
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_error_messages_name_values_the_writer_refuses():
+    huge = 10 ** (MAX_DIGITS + 1)
+    with pytest.raises(ValueError, match="strictly positive, got a value where"):
+        Rhythm((-huge,))
+    with pytest.raises(BadRatio, match=f"more than {MAX_DIGITS} digits"):
+        augment(rhythm([1]), -huge)
+    with pytest.raises(BadRatio):
+        scale_central(rhythm([1]), F(-1, huge))
+    with pytest.raises(NonIntegerTotal):
+        is_prime_total(rhythm([F(1, huge)]))
+    with pytest.raises(BadRatio):
+        build_canon(rhythm([1]), [(0, -huge)])
+
+
+def test_format_rhythm_refuses_units_it_cannot_write():
+    for unit in (" x", "x ", "\tx", "x\n", "\u2028x", " "):
+        with pytest.raises(DomainError):
+            format_rhythm(rhythm([1, 2], unit=unit))
+    assert format_rhythm(rhythm([1, 2], unit=" x"), with_unit=False) == "1 2"
+
+
+_part = st.integers(1, 10**6) | st.integers(10 ** (MAX_DIGITS - 1), 10 ** (MAX_DIGITS + 1))
+
+
+def _too_wide(r):
+    return any(max(d.numerator, d.denominator) >= 10**MAX_DIGITS for d in r.durations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    Rhythm,
+    st.lists(st.builds(F, _part, _part), min_size=1, max_size=4).map(tuple),
+    st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028a|@=é"), max_size=6),
+))
+def test_rhythm_text_reads_back_or_is_refused(r):
+    try:
+        text = format_rhythm(r)
+    except DomainError:
+        assert _too_wide(r) or r.unit != r.unit.strip()
+        return
+    assert not _too_wide(r)
+    assert parse_rhythm(text) == r
 
 
 # --- ASCII-only tokens and exact primality -------------------------------

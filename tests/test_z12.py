@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from messiaen import z12
 from messiaen.errors import DegenerateSet, ParseError
@@ -16,6 +18,7 @@ from messiaen.z12 import (
     is_degenerate,
     is_limited_transposition,
     minimal_period,
+    note_names,
     parse_pcset,
     pcset,
     transpose,
@@ -172,6 +175,31 @@ def test_parse_pcset():
     assert parse_pcset("Cb B#") == pcset({11, 0})
 
 
+def _note_by_branches(tok):
+    """The per-accidental reading parse_pcset was first written with: the reference."""
+    names = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
+    if tok[0].lower() not in names or len(tok) > 2:
+        return None
+    v = names[tok[0].lower()]
+    if len(tok) == 2:
+        if tok[1] not in ("#", "b", "B"):
+            return None
+        v += 1 if tok[1] == "#" else -1
+    return v % 12
+
+
+def test_parse_pcset_reads_every_spelling():
+    for letter in "ABCDEFGHIabcdefghi@":
+        for accidental in ("", "#", "b", "B", "x", "s", "♯", "♭", "##", "bb", "b#"):
+            tok = letter + accidental
+            expected = _note_by_branches(tok)
+            if expected is None:
+                with pytest.raises(ParseError):
+                    parse_pcset(tok)
+            else:
+                assert parse_pcset(tok) == {expected}, tok
+
+
 @pytest.mark.parametrize("bad", ["", "12", "H", "C##", "0 1 x", "-1"])
 def test_parse_pcset_rejects(bad):
     with pytest.raises(ParseError):
@@ -196,3 +224,9 @@ def test_pcset_validates_range():
 def test_parse_pcset_reads_ascii_digits_only(bad):
     with pytest.raises(ParseError):
         parse_pcset(bad)
+
+
+@given(st.frozensets(st.integers(0, 11), min_size=1))
+def test_parse_pcset_reads_back_both_renderings(s):
+    assert parse_pcset(format_pcset(s)) == s
+    assert parse_pcset(note_names(s)) == s

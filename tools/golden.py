@@ -1,0 +1,193 @@
+"""Golden output of the command line, recorded and compared across two trees.
+
+``record`` runs ``messiaen.cli.run`` in process on a fixed corpus of argv
+and writes, per argv, the exit code, a SHA-256 digest of stdout and the
+stderr text (an exception that escapes ``run`` is recorded by its type
+and first line).  ``diff`` compares two recordings of the same corpus and
+prints the argv that differ, grouped by verb and action.
+
+The corpus:
+
+- the seeded random argv of ``tests/test_cli_fuzz.py``, over several seeds;
+- one round of ``perfbench.cli_mix.build`` for each of seeds 1-5;
+- the ``$ messiaen ...`` examples of the README, in both formats;
+- every note spelling (letter, case, accidental) through ``pcset``;
+- ``perm fan 1`` to ``perm fan 40``, both directions and formats;
+- edge cases of the integer flags, of ``--unit``, and of results past
+  the 4300-digit bound.
+
+The package comes from ``PYTHONPATH``; the corpus from this checkout.  To
+compare a change with its parent, record once with each tree's ``src``::
+
+    PYTHONPATH=../parent/src python3 tools/golden.py record parent.jsonl
+    PYTHONPATH=src python3 tools/golden.py record change.jsonl
+    python3 tools/golden.py diff parent.jsonl change.jsonl
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shlex
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FUZZ_SEEDS = (2024, 1, 2, 3, 4)
+CLI_MIX_SEEDS = (1, 2, 3, 4, 5)
+EXAMPLES = 5  # differing argv shown per group
+FORMATS = (["--format", "human"], ["--format", "machine"])
+
+N = "9" * 4300
+M = "9" * 4299 + "7"  # N - 2
+
+
+def _readme_argv() -> list[list[str]]:
+    out = []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ messiaen "):
+            command = line[len("$ messiaen "):].split(" | ")[0]
+            out += [shlex.split(command) + fmt for fmt in FORMATS]
+    return out
+
+
+def _note_argv() -> list[list[str]]:
+    tokens = [letter + accidental
+              for letter in "ABCDEFGHabcdefgh"
+              for accidental in ("", "#", "b", "B", "##", "bb", "x", "s", "♯", "♭")]
+    return [["pcset", "classify", token, *fmt] for token in tokens for fmt in FORMATS] + [
+        ["pcset", "period", " ".join(tokens[i:i + 7])] for i in range(0, len(tokens), 7)
+    ]
+
+
+def _fan_argv() -> list[list[str]]:
+    return [["perm", "fan", str(n), "--direction", side, *fmt]
+            for n in range(1, 41) for side in ("left", "right") for fmt in FORMATS]
+
+
+def _edge_argv() -> list[list[str]]:
+    ints = ["+5", "-1", "1_0", "0", "3", "١", "٣", "²", "٣٣", " 3", "3 ", "0x10", "1e3", "", "9" * 30]
+    flags = [
+        lambda v: ["rhythm", "eliminate", "--count", v, "1 2 3 4 5 6 7"],
+        lambda v: ["catalog", "analyze", "--id", v],
+        lambda v: ["perm", "orbit", "--cap", v, "2 1"],
+        lambda v: ["perm", "fan", v],
+        lambda v: ["perm", "count", v],
+    ]
+    units = [" x", "x ", "\tx", "x\n", "x\u00a0", "a b", "", " ", "a|b", "é", "\u2028x"]
+    rhythms = [
+        lambda u: ["rhythm", "retrograde", "--unit", u, "1 2"],
+        lambda u: ["rhythm", "augment", "--ratio", "3/2", "--unit", u, "2 1 2"],
+        lambda u: ["rhythm", "retrograde", f"1 2 @unit={u}"],
+        lambda u: ["rhythm", "analyze", "--unit", u, "2 1 2"],
+    ]
+    big = [
+        ["rhythm", "augment", "--ratio", N, N],
+        ["rhythm", "analyze", f"{N} {N}"],
+        ["rhythm", "analyze", f"1/{N} 1/{M}"],
+        ["rhythm", "canon", "--voice", f"0:{N}", f"{N} 1"],
+        ["rhythm", "retrograde", f"{N} 1/{N}"],
+        ["rhythm", "central", "--ratio", f"1/{N}", f"1 1/{N} 1"],
+        ["perm", "orbit", "--base", f"{N} 1", "2 1"],
+    ]
+    cases = [f(v) for f in flags for v in ints] + [f(u) for f in rhythms for u in units] + big
+    return [argv + fmt for argv in cases for fmt in FORMATS]
+
+
+def corpus() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT))
+    from perfbench import cli_mix
+    from tests.test_cli_fuzz import _argv
+
+    import messiaen
+
+    argvs = []
+    for seed in FUZZ_SEEDS:
+        rng = random.Random(seed)
+        argvs += [_argv(rng) for _ in range(2000)]
+    data_dir = Path(messiaen.__file__).parent / "data"
+    for seed in CLI_MIX_SEEDS:
+        argvs += [op.argv for op in cli_mix.build(seed, data_dir)]
+    return argvs + _readme_argv() + _note_argv() + _fan_argv() + _edge_argv()
+
+
+def _outcome(run, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as exc:  # a traceback is an outcome to compare, not a crash of the recorder
+            code = f"exception {type(exc).__name__}"
+            err.write(str(exc).split("\n")[0][:200])
+    digest = hashlib.sha256(out.getvalue().encode("utf-8", "surrogateescape")).hexdigest()
+    return {"argv": argv, "code": code, "stdout": digest, "stderr": err.getvalue()}
+
+
+def record(path: str) -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
+    from messiaen.cli import run
+
+    argvs = corpus()
+    with open(path, "w", encoding="utf-8") as f:
+        for argv in argvs:
+            f.write(json.dumps(_outcome(run, argv), ensure_ascii=False) + "\n")
+    print(f"{len(argvs)} argv recorded in {path}")
+
+
+def _short(argv: list[str]) -> str:
+    text = shlex.join(argv)
+    return text if len(text) <= 160 else text[:150] + f"... ({len(text)} chars)"
+
+
+def diff(before_path: str, after_path: str) -> int:
+    def load(path):
+        with open(path, encoding="utf-8") as f:
+            return [json.loads(line) for line in f]
+
+    before, after = load(before_path), load(after_path)
+    if [b["argv"] for b in before] != [a["argv"] for a in after]:
+        print("the two recordings are of different corpora")
+        return 2
+    groups = defaultdict(list)
+    for b, a in zip(before, after):
+        if b != a:
+            part = "stdout" if b["code"] == a["code"] and b["stdout"] != a["stdout"] else "stderr"
+            change = f"exit {b['code']} -> {a['code']}" if b["code"] != a["code"] else f"same exit, {part} differs"
+            groups[" ".join(a["argv"][:2]), change].append((b, a))
+    differing = sum(map(len, groups.values()))
+    print(f"{len(before)} argv compared, {len(before) - differing} identical, {differing} differ")
+    for (action, change), pairs in sorted(groups.items()):
+        print(f"\n{action}: {change} ({len(pairs)} argv)")
+        for b, a in pairs[:EXAMPLES]:
+            print(f"  {_short(a['argv'])}")
+            if b["stderr"] != a["stderr"]:
+                print(f"    stderr before: {b['stderr'][:120]!r}")
+                print(f"    stderr after:  {a['stderr'][:120]!r}")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    rec = commands.add_parser("record", help="run the corpus and write one JSON line per argv")
+    rec.add_argument("out")
+    cmp_ = commands.add_parser("diff", help="compare two recordings of the corpus")
+    cmp_.add_argument("before")
+    cmp_.add_argument("after")
+    args = parser.parse_args()
+    if args.command == "record":
+        record(args.out)
+        return 0
+    return diff(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
