@@ -177,23 +177,29 @@ class AnalysisReport:
     interleave: Optional[InterleaveProfile]
 
 
+def _prime_or_none(r: Rhythm) -> Optional[bool]:
+    try:
+        return is_prime_total(r)
+    except NonIntegerTotal:
+        return None
+
+
+def _interleave_or_none(r: Rhythm) -> Optional[InterleaveProfile]:
+    try:
+        return interleave_profile(r)
+    except TooShort:
+        return None
+
+
 def analyze_rhythm(r: Rhythm, entry_id: Optional[int] = None) -> AnalysisReport:
     """Run the full battery of rhythm analyses on one duration sequence."""
-    try:
-        prime = is_prime_total(r)
-    except NonIntegerTotal:
-        prime = None
-    try:
-        interleave = interleave_profile(r)
-    except TooShort:
-        interleave = None
     return AnalysisReport(
         entry_id=entry_id,
         non_retrogradable=is_non_retrogradable(r),
         total=total_duration(r),
-        prime_total=prime,
+        prime_total=_prime_or_none(r),
         augmentation_chain=detect_augmentation_chain(r),
-        interleave=interleave,
+        interleave=_interleave_or_none(r),
     )
 
 
@@ -202,25 +208,27 @@ def analyze_entry(e: TalaEntry) -> AnalysisReport:
     return analyze_rhythm(e.rhythm, entry_id=e.id)
 
 
-def _pred_interleave(report: AnalysisReport) -> bool:
+def _pred_interleave(r: Rhythm) -> bool:
     # The interlocking pattern: one parity class constant, the other
     # rising then falling.
-    p = report.interleave
+    p = _interleave_or_none(r)
     if p is None:
         return False
     return (p.even.constant and p.odd.unimodal) or (p.odd.constant and p.even.unimodal)
 
 
+# Each predicate computes only the property it tests, so that a filter
+# never fails on an analysis it does not need (primality past rhythm.PRIME_BOUND).
 PREDICATES = {
-    "nonretro": lambda report: report.non_retrogradable,
-    "prime": lambda report: report.prime_total is True,
-    "augchain": lambda report: report.augmentation_chain is not None,
+    "nonretro": is_non_retrogradable,
+    "prime": lambda r: _prime_or_none(r) is True,
+    "augchain": lambda r: detect_augmentation_chain(r) is not None,
     "interleave": _pred_interleave,
 }
 
 
 def filter_catalog(entries: Iterable[TalaEntry], predicate: str) -> list[TalaEntry]:
-    """Stable-order subset of entries whose analysis satisfies the predicate.
+    """Stable-order subset of entries whose rhythm satisfies the predicate.
 
     >>> [e.id for e in filter_catalog(seed_talas(), "augchain")]
     [73, 115]
@@ -231,7 +239,7 @@ def filter_catalog(entries: Iterable[TalaEntry], predicate: str) -> list[TalaEnt
         raise BadPredicate(
             f"unknown predicate {predicate!r}; choose from {', '.join(sorted(PREDICATES))}"
         ) from None
-    return [e for e in entries if pred(analyze_entry(e))]
+    return [e for e in entries if pred(e.rhythm)]
 
 
 def _shape_dict(shape: SequenceShape) -> dict:

@@ -22,6 +22,11 @@ from .rhythm import Rhythm
 T = TypeVar("T")
 
 DEFAULT_ORBIT_CAP = 1_000_000
+# Largest orbit table built, in entries (rows x points), whatever the cap:
+# the human table of every fan up to 1500 points fits (2 248 500 at 1500).
+MAX_TABLE_ENTRIES = 2_500_000
+# Largest fan built: its machine text is about 0.6 MB.
+FAN_MAX = 100_000
 CHROMATIC_UNIT = "triple croche"
 
 # Interversion order used in the 32-duration chromatic scale movements of
@@ -123,7 +128,8 @@ def fan(n: int, direction: str = "left") -> Perm:
     Starting from the middle, take one position from either side in
     alternation out to the extremes.  With the default left-first
     direction, three objects read as (2, 1, 3) and four objects as
-    (2, 3, 1, 4); direction="right" mirrors the alternation.
+    (2, 3, 1, 4); direction="right" mirrors the alternation.  Sizes past
+    ``FAN_MAX`` are a DomainError.
 
     >>> fan(4).apply((1, 2, 3, 4))
     (2, 3, 1, 4)
@@ -132,6 +138,8 @@ def fan(n: int, direction: str = "left") -> Perm:
         raise Empty(f"fan size must be at least 1, got {n}")
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    if n > FAN_MAX:
+        raise DomainError(f"fan size must be at most {FAN_MAX}, got {n}")
     # Nearest the center first; of two equally near, the one on the starting side.
     side = 1 if direction == "left" else -1
     return Perm(sorted(range(n), key=lambda i: (abs(2 * i - n + 1), side * i)))
@@ -173,8 +181,9 @@ def orbit_table(p: Perm, base: Sequence[T], cap: int = DEFAULT_ORBIT_CAP) -> Orb
     """Iterate p on base until base recurs, recording every reading.
 
     The cap guards against hand-entered permutations whose orbit would be
-    astronomically long; the orbit's length is known before any reading is
-    made, so a refusal costs no rows.
+    astronomically long, and ``MAX_TABLE_ENTRIES`` bounds rows x points;
+    the orbit's length is known before any reading is made, so a refusal
+    costs no rows.
 
     >>> orbit_table(fan(3), (1, 2, 3)).rows
     ((2, 1, 3), (1, 2, 3))
@@ -187,6 +196,9 @@ def orbit_table(p: Perm, base: Sequence[T], cap: int = DEFAULT_ORBIT_CAP) -> Orb
     length = math.lcm(*(_rotation_period([start[i] for i in c]) for c in p.cycles()))
     if length > max(cap, 1):
         raise CapExceeded(f"orbit did not close within {cap} iterations")
+    if length * len(start) > MAX_TABLE_ENTRIES:
+        raise CapExceeded(f"orbit table of {length} rows of {len(start)} points"
+                          f" exceeds {MAX_TABLE_ENTRIES} entries")
     rows = [p.apply(start)]
     while len(rows) < length:
         rows.append(p.apply(rows[-1]))

@@ -70,10 +70,7 @@ def pcset(members: Iterable[int]) -> PcSet:
 
 def bitmask(s: PcSet) -> int:
     """12-bit characteristic value, bit i set iff pitch class i is a member."""
-    n = 0
-    for x in s:
-        n |= 1 << x
-    return n
+    return sum(1 << x for x in s)
 
 
 def from_bitmask(n: int) -> PcSet:
@@ -87,9 +84,15 @@ def from_bitmask(n: int) -> PcSet:
     return frozenset(i for i in range(12) if n >> i & 1)
 
 
+def _rotate(n: int, t: int) -> int:
+    """The 12-bit value n rotated by t mod 12: bit i moves to bit i + t."""
+    t %= 12
+    return (n << t | n >> (12 - t)) & 0xFFF
+
+
 def transpose(s: PcSet, t: int) -> PcSet:
     """Translate every member by t semitones modulo 12."""
-    return frozenset((x + t) % 12 for x in s)
+    return from_bitmask(_rotate(bitmask(s), t))
 
 
 def is_degenerate(s: PcSet) -> bool:
@@ -110,10 +113,9 @@ def minimal_period(s: PcSet) -> int:
     """
     if not s:
         raise DegenerateSet("minimal period of the empty set is undefined")
-    for t in range(1, 13):
-        if transpose(s, t) == s:
-            return t
-    raise AssertionError("unreachable: translation by 12 is the identity")
+    # The translations fixing s form a subgroup of Z/12, generated by a divisor of 12.
+    n = bitmask(s)
+    return next(t for t in (1, 2, 3, 4, 6, 12) if _rotate(n, t) == n)
 
 
 def is_limited_transposition(s: PcSet) -> bool:
@@ -121,36 +123,33 @@ def is_limited_transposition(s: PcSet) -> bool:
     return minimal_period(s) < 12
 
 
+# The 33 distinct transpositions of the catalogued modes, by 12-bit value.
+_MODE_IDS = {_rotate(bitmask(mode), t): ModeId(number, t)
+             for number, mode in enumerate(MODES, start=1) for t in range(minimal_period(mode))}
+
+
 def classify_mode(s: PcSet) -> Optional[ModeId]:
     """Identify s as a transposition of a catalogued mode, or None.
 
-    Ties break toward the smallest mode number, then the smallest
-    offset; the offset is canonical, 0 <= offset < minimal period.
+    No two of the 33 transpositions of the seven modes are equal, so at
+    most one matches; the offset is canonical, 0 <= offset < minimal period.
 
     >>> classify_mode(frozenset({0, 1, 3, 4, 6, 7, 9, 10}))
     ModeId(number=2, offset=0)
     """
     if not s:
         raise DegenerateSet("cannot classify the empty set")
-    for number, mode in enumerate(MODES, start=1):
-        for t in range(minimal_period(mode)):
-            if transpose(mode, t) == s:
-                return ModeId(number, t)
-    return None
+    return _MODE_IDS.get(bitmask(s))
 
 
 def enumerate_limited() -> list[PcSet]:
     """Every subset of Z/12 fixed by some translation t in 1..11.
 
-    Includes the degenerate subsets (empty set, full chromatic); ordered
-    by ascending 12-bit characteristic value.
+    Its minimal period is then 1, 2, 3, 4 or 6, so translation by 4 or
+    by 6 fixes it.  Includes the degenerate subsets (empty set, full
+    chromatic); ordered by ascending 12-bit characteristic value.
     """
-    out = []
-    for n in range(4096):
-        s = from_bitmask(n)
-        if any(transpose(s, t) == s for t in range(1, 12)):
-            out.append(s)
-    return out
+    return [from_bitmask(n) for n in range(4096) if n in (_rotate(n, 4), _rotate(n, 6))]
 
 
 def detect_truncated(s: PcSet) -> bool:

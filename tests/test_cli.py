@@ -426,3 +426,34 @@ def test_handlers_return_their_output_and_print_nothing(capsys, argv, machine):
     assert capsys.readouterr() == ("", "")
     run([*argv, "--format", "machine" if machine else "human"])
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("perm", "fan", "9" * 30),
+        ("perm", "fan", "9" * 30, "--format", "machine"),
+        ("perm", "fan", "100001", "--format", "machine"),
+        ("perm", "fan", "3000"),  # 1284 rows of 3000 points, past the table-entry bound
+    ],
+)
+def test_fans_past_their_bounds_exit_3(cli, argv):
+    start = time.perf_counter()
+    code, out, err = cli(*argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err.startswith("erreur: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("predicate", ["nonretro", "augchain", "interleave", "prime"])
+def test_filter_decides_primality_only_for_prime(cli, tmp_path, predicate):
+    # 3317044064679887385962003 is past rhythm.PRIME_BOUND and has no factor up to 41
+    text = "1|a|b|3317044064679887385962003\n2|c|d|2 1 2\n"
+    (tmp_path / "talas.cat").write_text(text, encoding="utf-8")
+    code, out, err = cli("catalog", "filter", predicate, "--data", str(tmp_path))
+    if predicate == "prime":
+        assert code == 3 and out == "" and "primality is decided exactly only below" in err
+    else:
+        assert code == 0 and err == ""
+        assert out == {"nonretro": "1: 3317044064679887385962003\n2: 2 1 2\n",
+                       "augchain": "", "interleave": ""}[predicate]

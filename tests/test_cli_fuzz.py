@@ -20,7 +20,7 @@ TOKENS = [
     "2 1 3", "3 1 2", "1 1", "", " ", LONG, "1/" + LONG, "2 " + LONG, "9" * 30, "0:1",
     "1:3/2", "-1:1", "1:0", ":",
 ]
-SMALL_INTS = ["-1", "0", "1", "2", "3", "5", "12", "33", "²", "١", LONG]
+SMALL_INTS = ["-1", "0", "1", "2", "3", "5", "12", "33", "²", "١", LONG, "9" * 30]
 
 # Each action's positional kind and its flags with the values they are given.
 ACTIONS = {

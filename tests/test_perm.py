@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from messiaen import perm as pm
 from messiaen.errors import (
     CapExceeded,
     DomainError,
@@ -16,6 +17,8 @@ from messiaen.errors import (
     SizeMismatch,
 )
 from messiaen.perm import (
+    FAN_MAX,
+    MAX_TABLE_ENTRIES,
     Perm,
     chromatic_durations,
     chronochromie,
@@ -295,3 +298,23 @@ def test_orbit_table_refuses_before_building_rows():
     with pytest.raises(CapExceeded):
         orbit_table(p, tuple(range(77)), cap=200_000)
     assert time.perf_counter() - start < 0.1
+
+
+def test_fan_refuses_sizes_past_the_bound():
+    assert len(fan(FAN_MAX)) == FAN_MAX
+    for n in (FAN_MAX + 1, 10**30):
+        with pytest.raises(DomainError, match="at most"):
+            fan(n)
+
+
+def test_orbit_table_refuses_tables_past_the_entry_bound(monkeypatch):
+    assert all(fan(n).order() * n <= MAX_TABLE_ENTRIES for n in range(1, 1501))
+    p = fan(3000)  # 1284 rows of 3000 points
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="entries"):
+        orbit_table(p, tuple(range(3000)))
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(pm, "MAX_TABLE_ENTRIES", 6)
+    assert orbit_table(fan(3), (1, 2, 3)).order == 2  # 2 x 3 = 6 entries
+    with pytest.raises(CapExceeded, match="3 rows of 4 points exceeds 6 entries"):
+        orbit_table(fan(4), (1, 2, 3, 4))

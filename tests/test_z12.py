@@ -40,6 +40,34 @@ def brute_force_limited():
     return out
 
 
+def _transpose_by_members(s, t):
+    """transpose as first written, member by member: the reference."""
+    return frozenset((x + t) % 12 for x in s)
+
+
+def _period_by_search(s):
+    """minimal_period as first written, trying every t in 1..12: the reference."""
+    return next(t for t in range(1, 13) if _transpose_by_members(s, t) == s)
+
+
+def _classify_by_search(s):
+    """classify_mode as first written, scanning the 33 transpositions: the reference."""
+    for number, mode in enumerate(MODES, start=1):
+        for t in range(_period_by_search(mode)):
+            if _transpose_by_members(mode, t) == s:
+                return ModeId(number, t)
+    return None
+
+
+def test_z12_matches_the_frozenset_loops_on_every_set():
+    for n in range(1, 4096):
+        s = from_bitmask(n)
+        assert minimal_period(s) == _period_by_search(s), n
+        assert classify_mode(s) == _classify_by_search(s), n
+        for t in range(-24, 25):
+            assert transpose(s, t) == _transpose_by_members(s, t), (n, t)
+
+
 def test_transpose_examples():
     assert transpose(WHOLE_TONE, 2) == WHOLE_TONE
     assert transpose(pcset({0}), 12) == pcset({0})

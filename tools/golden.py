@@ -12,9 +12,17 @@ The corpus:
 - one round of ``perfbench.cli_mix.build`` for each of seeds 1-5;
 - the ``$ messiaen ...`` examples of the README, in both formats;
 - every note spelling (letter, case, accidental) through ``pcset``;
+- every nonempty pitch-class set through ``pcset classify`` and
+  ``pcset period``, in both formats;
 - ``perm fan 1`` to ``perm fan 40``, both directions and formats;
+- fans at and past the size bound and the table-entry bound (past the
+  size bound in machine format only: the human table of a fan of 10⁵
+  points holds 10¹⁰ entries where no entry bound refuses it);
 - edge cases of the integer flags, of ``--unit``, and of results past
-  the 4300-digit bound.
+  the 4300-digit bound;
+- ``catalog`` actions on a catalog, written to a fixed directory under
+  the system's temporary directory, whose first total is past the
+  primality bound.
 
 The package comes from ``PYTHONPATH``; the corpus from this checkout.  To
 compare a change with its parent, record once with each tree's ``src``::
@@ -37,6 +45,7 @@ import os
 import random
 import shlex
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -68,9 +77,16 @@ def _note_argv() -> list[list[str]]:
     ]
 
 
+def _pcset_argv() -> list[list[str]]:
+    sets = [" ".join(str(i) for i in range(12) if n >> i & 1) for n in range(1, 4096)]
+    return [["pcset", action, text, *fmt] for text in sets for action in ("classify", "period") for fmt in FORMATS]
+
+
 def _fan_argv() -> list[list[str]]:
     return [["perm", "fan", str(n), "--direction", side, *fmt]
-            for n in range(1, 41) for side in ("left", "right") for fmt in FORMATS]
+            for n in range(1, 41) for side in ("left", "right") for fmt in FORMATS] + [
+        ["perm", "fan", n, *fmt] for n in ("2304", "3000") for fmt in FORMATS] + [
+        ["perm", "fan", n, "--format", "machine"] for n in ("100000", "100001", "9" * 30)]
 
 
 def _edge_argv() -> list[list[str]]:
@@ -102,6 +118,17 @@ def _edge_argv() -> list[list[str]]:
     return [argv + fmt for argv in cases for fmt in FORMATS]
 
 
+def _catalog_argv() -> list[list[str]]:
+    data = Path(tempfile.gettempdir(), "messiaen-golden-data")
+    data.mkdir(exist_ok=True)
+    # 3317044064679887385962003 is past the primality bound and has no factor up to 41.
+    lines = ["1|a|b|3317044064679887385962003", "2|c|d|2 1 2", "3|e|f|1 1 3/2", "4|g|h|2 1 3 2 1"]
+    (data / "talas.cat").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    actions = [["catalog", "filter", p] for p in ("nonretro", "prime", "augchain", "interleave")]
+    actions += [["catalog", "analyze"], ["catalog", "analyze", "--id", "2"], ["catalog", "list"]]
+    return [argv + ["--data", str(data)] + fmt for argv in actions for fmt in FORMATS]
+
+
 def corpus() -> list[list[str]]:
     sys.path.insert(0, str(ROOT))
     from perfbench import cli_mix
@@ -116,7 +143,7 @@ def corpus() -> list[list[str]]:
     data_dir = Path(messiaen.__file__).parent / "data"
     for seed in CLI_MIX_SEEDS:
         argvs += [op.argv for op in cli_mix.build(seed, data_dir)]
-    return argvs + _readme_argv() + _note_argv() + _fan_argv() + _edge_argv()
+    return argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _edge_argv() + _catalog_argv()
 
 
 def _outcome(run, argv: list[str]) -> dict:
