@@ -19,16 +19,13 @@ back equal (a field holding ``|`` or a line break, for one).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterable, Optional
+import os
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 
 from . import z12
 from .errors import BadPredicate, DomainError, DuplicateId, NonIntegerTotal, ParseError, TooShort, ascii_int
 from .rhythm import (
-    AugmentationChain,
     InterleaveProfile,
     Rhythm,
     SequenceShape,
@@ -42,28 +39,19 @@ from .rhythm import (
     total_duration,
 )
 
-_DATA_DIR = Path(__file__).parent / "data"
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class TalaEntry:
+class TalaEntry(namedtuple("TalaEntry", "id name gloss rhythm source_note", defaults=("",))):
     """One catalog record: a numbered rhythm with its name and gloss."""
 
-    id: int
-    name: str
-    gloss: str
-    rhythm: Rhythm
-    source_note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ModeEntry:
-    """One catalogued mode: number, name, gloss, members."""
+class ModeEntry(namedtuple("ModeEntry", "number name gloss members")):
+    """One catalogued mode: number, name, gloss, members (a z12 pitch-class set)."""
 
-    number: int
-    name: str
-    gloss: str
-    members: z12.PcSet
+    __slots__ = ()
 
 
 def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: Callable) -> list:
@@ -142,56 +130,52 @@ def serialize_modes(entries: Iterable[ModeEntry]) -> str:
     return _dump(((e.number, e.name, e.gloss, e.members, "") for e in entries), z12.format_pcset)
 
 
-def _read_seed(name: str, data_dir: Optional[str] = None) -> list[str]:
-    return Path(_DATA_DIR if data_dir is None else data_dir, name).read_text(encoding="utf-8").splitlines()
+def _read_seed(name: str, data_dir: str | None = None) -> list[str]:
+    with open(os.path.join(_DATA_DIR if data_dir is None else data_dir, name), encoding="utf-8") as f:
+        return f.read().splitlines()
 
 
-def seed_talas(data_dir: Optional[str] = None) -> list[TalaEntry]:
+def seed_talas(data_dir: str | None = None) -> list[TalaEntry]:
     """The shipped deçî-tâla entries (or those from an override directory)."""
     return load_catalog(_read_seed("talas.cat", data_dir))
 
 
-def seed_quatuor(data_dir: Optional[str] = None) -> list[TalaEntry]:
+def seed_quatuor(data_dir: str | None = None) -> list[TalaEntry]:
     """The shipped Quatuor measures."""
     return load_catalog(_read_seed("quatuor.cat", data_dir))
 
 
-def seed_modes(data_dir: Optional[str] = None) -> list[ModeEntry]:
+def seed_modes(data_dir: str | None = None) -> list[ModeEntry]:
     """The shipped seven-mode table."""
     return load_modes(_read_seed("modes.cat", data_dir))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "entry_id non_retrogradable total prime_total"
+                                                   " augmentation_chain interleave")):
     """Analysis of one rhythm, every field produced by the rhythm operations.
 
     ``prime_total`` is None when the total is not a whole number of
     units; ``interleave`` is None for single-duration rhythms.
     """
 
-    entry_id: Optional[int]
-    non_retrogradable: bool
-    total: Fraction
-    prime_total: Optional[bool]
-    augmentation_chain: Optional[AugmentationChain]
-    interleave: Optional[InterleaveProfile]
+    __slots__ = ()
 
 
-def _prime_or_none(r: Rhythm) -> Optional[bool]:
+def _prime_or_none(r: Rhythm) -> bool | None:
     try:
         return is_prime_total(r)
     except NonIntegerTotal:
         return None
 
 
-def _interleave_or_none(r: Rhythm) -> Optional[InterleaveProfile]:
+def _interleave_or_none(r: Rhythm) -> InterleaveProfile | None:
     try:
         return interleave_profile(r)
     except TooShort:
         return None
 
 
-def analyze_rhythm(r: Rhythm, entry_id: Optional[int] = None) -> AnalysisReport:
+def analyze_rhythm(r: Rhythm, entry_id: int | None = None) -> AnalysisReport:
     """Run the full battery of rhythm analyses on one duration sequence."""
     return AnalysisReport(
         entry_id=entry_id,
@@ -243,7 +227,7 @@ def filter_catalog(entries: Iterable[TalaEntry], predicate: str) -> list[TalaEnt
 
 
 def _shape_dict(shape: SequenceShape) -> dict:
-    return {**vars(shape), "values": format_values(shape.values).split(" ")}
+    return {**shape._asdict(), "values": format_values(shape.values).split(" ")}
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -258,7 +242,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "prefix": format_rhythm(chain.prefix, with_unit=False),
             "ratios": format_values(chain.ratios).split(" "),
         },
-        "interleave": None if profile is None else {k: _shape_dict(v) for k, v in vars(profile).items()},
+        "interleave": None if profile is None else {k: _shape_dict(v) for k, v in profile._asdict().items()},
     }
 
 
@@ -307,4 +291,6 @@ def render_report(report: AnalysisReport, rhythm: Rhythm) -> str:
 
 def reports_to_json(reports: Iterable[AnalysisReport]) -> str:
     """JSON array of report dicts."""
+    import json
+
     return json.dumps([report_to_dict(r) for r in reports], ensure_ascii=False, indent=2)

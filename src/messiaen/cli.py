@@ -5,22 +5,21 @@ the canonical text form of the result (rhythm, pitch-class or
 permutation text, re-readable by the corresponding parser) or JSON for
 structured reports.  Exit codes: 0 success, 2 parse error, 3 domain
 error.
+
+Each handler imports the modules it uses, so that one call loads only
+what its action needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional, Sequence
 
-from . import catalog as cat
-from . import perm as pm
-from . import rhythm as rh
-from . import z12
 from .errors import DomainError, ParseError
 
 MACHINE = "machine"
+# The names of catalog.PREDICATES, for the parser of `catalog filter`.
+PREDICATES = ("augchain", "interleave", "nonretro", "prime")
 
 # `perm count` prints n! in full up to this n (77 338 digits), so that
 # the conversion to decimal text stays well under a second.
@@ -29,16 +28,22 @@ _CHUNK_DIGITS = 4000
 _CHUNK = 10**_CHUNK_DIGITS
 
 
-def _rhythm_arg(args) -> rh.Rhythm:
+def _rhythm_arg(args):
+    from . import rhythm as rh
+
     r = rh.parse_rhythm(args.rhythm_text)
     return rh.Rhythm(r.durations, args.unit) if args.unit and not r.unit else r
 
 
-def _rhythm_result(r: rh.Rhythm, machine: bool, label: str) -> str:
+def _rhythm_result(r, machine: bool, label: str) -> str:
+    from . import rhythm as rh
+
     return f"{rh.format_rhythm(r)}\n" if machine else f"{label}: {rh.format_rhythm(r)}\n"
 
 
 def _json(value) -> str:
+    import json
+
     return json.dumps(value, ensure_ascii=False) + "\n"
 
 
@@ -67,16 +72,22 @@ def _decimal(n: int) -> str:
 
 
 def _cmd_rhythm_analyze(args, machine: bool) -> str:
+    from . import catalog as cat
+
     r = _rhythm_arg(args)
     report = cat.analyze_rhythm(r)
     return _json(cat.report_to_dict(report)) if machine else cat.render_report(report, rhythm=r) + "\n"
 
 
 def _cmd_rhythm_retrograde(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     return _rhythm_result(rh.retrograde(_rhythm_arg(args)), machine, "rétrograde")
 
 
 def _cmd_rhythm_augment(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     ratio = rh.as_fraction(args.ratio)
     out = rh.augment(_rhythm_arg(args), ratio)
     kind = rh.augmentation_kind(ratio)
@@ -85,17 +96,23 @@ def _cmd_rhythm_augment(args, machine: bool) -> str:
 
 
 def _cmd_rhythm_amplify(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     core = _rhythm_arg(args)
     wing = rh.parse_rhythm(args.wing)
     return _rhythm_result(rh.symmetric_amplification(core, wing), machine, "amplification symétrique")
 
 
 def _cmd_rhythm_eliminate(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     out = rh.eliminate_extremes(_rhythm_arg(args), args.count)
     return _rhythm_result(out, machine, f"extrêmes éliminés (k={args.count})")
 
 
 def _cmd_rhythm_central(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     out = rh.scale_central(_rhythm_arg(args), rh.as_fraction(args.ratio))
     return _rhythm_result(out, machine, "valeur centrale modifiée")
 
@@ -108,6 +125,8 @@ def _parse_voice(text: str) -> tuple[str, str]:
 
 
 def _cmd_rhythm_canon(args, machine: bool) -> str:
+    from . import rhythm as rh
+
     subject = _rhythm_arg(args)
     voices = [_parse_voice(v) for v in args.voice]
     sched = rh.build_canon(subject, voices)
@@ -131,6 +150,8 @@ def _cmd_rhythm_canon(args, machine: bool) -> str:
 
 
 def _cmd_pcset_classify(args, machine: bool) -> str:
+    from . import z12
+
     s = z12.parse_pcset(args.pcset_text)
     mode = z12.classify_mode(s)
     if machine:
@@ -143,6 +164,8 @@ def _cmd_pcset_classify(args, machine: bool) -> str:
 
 
 def _cmd_pcset_period(args, machine: bool) -> str:
+    from . import catalog as cat, z12
+
     s = z12.parse_pcset(args.pcset_text)
     period = z12.minimal_period(s)
     if machine:
@@ -155,6 +178,8 @@ def _cmd_pcset_period(args, machine: bool) -> str:
 
 
 def _cmd_pcset_enumerate(args, machine: bool) -> str:
+    from . import z12
+
     sets = z12.enumerate_limited()
     if machine:
         return _lines(z12.format_pcset(s) for s in sets)
@@ -167,6 +192,8 @@ def _cmd_pcset_enumerate(args, machine: bool) -> str:
 
 
 def _cmd_pcset_truncated(args, machine: bool) -> str:
+    from . import catalog as cat, z12
+
     truncated = z12.detect_truncated(z12.parse_pcset(args.pcset_text))
     return _json(truncated) if machine else f"mode tronqué: {cat._oui(truncated)}\n"
 
@@ -174,7 +201,9 @@ def _cmd_pcset_truncated(args, machine: bool) -> str:
 # --- perm ------------------------------------------------------------------
 
 
-def _perm_arg(args) -> pm.Perm:
+def _perm_arg(args):
+    from . import perm as pm
+
     if args.chronochromie and args.perm_text:
         raise ParseError("give either a permutation or --chronochromie, not both")
     if args.chronochromie:
@@ -199,6 +228,8 @@ def _cmd_perm_cycles(args, machine: bool) -> str:
 
 
 def _cmd_perm_fan(args, machine: bool) -> str:
+    from . import perm as pm, rhythm as rh
+
     p = pm.fan(args.size, direction=args.direction)
     if machine:
         return pm.format_perm(p) + "\n"
@@ -215,12 +246,14 @@ def _cmd_perm_fan(args, machine: bool) -> str:
 
 
 def _cmd_perm_orbit(args, machine: bool) -> str:
+    from . import perm as pm, rhythm as rh
+
     p = _perm_arg(args)
     if args.base:
         base = rh.parse_rhythm(args.base).durations
     else:
         base = pm.chromatic_durations(len(p)).durations
-    table = pm.orbit_table(p, base, cap=args.cap)
+    table = pm.orbit_table(p, base, cap=pm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
     rows = [rh.format_values(row) for row in table.rows]
     if machine:
         return _lines(rows)
@@ -228,6 +261,8 @@ def _cmd_perm_orbit(args, machine: bool) -> str:
 
 
 def _cmd_perm_count(args, machine: bool) -> str:
+    from . import perm as pm
+
     if args.size > COUNT_MAX:
         raise DomainError(f"n! is printed for n up to {COUNT_MAX}, got {args.size}")
     count = _decimal(pm.permutation_count(args.size))
@@ -237,12 +272,16 @@ def _cmd_perm_count(args, machine: bool) -> str:
 # --- catalog ---------------------------------------------------------------
 
 
-def _catalog_entries(args) -> list[cat.TalaEntry]:
+def _catalog_entries(args) -> list:
+    from . import catalog as cat
+
     loader = {"talas": cat.seed_talas, "quatuor": cat.seed_quatuor}[args.which]
     return loader(args.data)
 
 
 def _cmd_catalog_list(args, machine: bool) -> str:
+    from . import catalog as cat, rhythm as rh, z12
+
     if args.which == "modes":
         modes = cat.seed_modes(args.data)
         if machine:
@@ -259,7 +298,7 @@ def _cmd_catalog_list(args, machine: bool) -> str:
     return _lines(lines)
 
 
-def _select_entries(args) -> list[cat.TalaEntry]:
+def _select_entries(args) -> list:
     entries = _catalog_entries(args)
     if args.id is not None:
         entries = [e for e in entries if e.id == args.id]
@@ -269,6 +308,8 @@ def _select_entries(args) -> list[cat.TalaEntry]:
 
 
 def _cmd_catalog_analyze(args, machine: bool) -> str:
+    from . import catalog as cat
+
     entries = _select_entries(args)
     reports = [cat.analyze_entry(e) for e in entries]
     if machine:
@@ -278,6 +319,8 @@ def _cmd_catalog_analyze(args, machine: bool) -> str:
 
 
 def _cmd_catalog_filter(args, machine: bool) -> str:
+    from . import catalog as cat, rhythm as rh
+
     entries = cat.filter_catalog(_catalog_entries(args), args.predicate)
     if machine:
         return cat.serialize_catalog(entries)
@@ -358,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     fan_sub.add_argument("--direction", choices=("left", "right"), default="left")
     orbit = perm("orbit", _cmd_perm_orbit, "iterate on a duration scale until it returns")
     orbit.add_argument("--base", metavar="RHYTHM", help="base sequence (default: chromatic durations 1..n)")
-    orbit.add_argument("--cap", type=int, default=pm.DEFAULT_ORBIT_CAP, help="iteration hard cap")
+    orbit.add_argument("--cap", type=int, help="iteration hard cap")
     count = perm("count", _cmd_perm_count, "number of permutations of n objects", formatted)
     count.add_argument("size", type=int, metavar="N")
 
@@ -374,12 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana = catalog_action("analyze", _cmd_catalog_analyze, "per-entry analysis reports")
     ana.add_argument("--id", type=int, help="restrict to one entry id")
     fil = catalog_action("filter", _cmd_catalog_filter, "entries whose report satisfies a predicate")
-    fil.add_argument("predicate", choices=sorted(cat.PREDICATES), metavar="PREDICATE",
-                     help=", ".join(sorted(cat.PREDICATES)))
+    fil.add_argument("predicate", choices=PREDICATES, metavar="PREDICATE", help=", ".join(PREDICATES))
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
     The only writer of stdout: a handler returns its output text, and

@@ -12,14 +12,10 @@ formatting) speaks 1-based, matching conventional usage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, Empty, NotABijection, ParseError, SizeMismatch, ascii_int
-from .rhythm import Rhythm
-
-T = TypeVar("T")
 
 DEFAULT_ORBIT_CAP = 1_000_000
 # Largest orbit table built, in entries (rows x points), whatever the cap:
@@ -65,7 +61,7 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({list(self._map)})"
 
-    def apply(self, seq: Sequence[T]) -> tuple[T, ...]:
+    def apply(self, seq: Sequence) -> tuple:
         """Reorder seq by reading it in this permutation's order.
 
         >>> fan(3).apply((1, 2, 3))
@@ -156,28 +152,28 @@ def chromatic_durations(n: int) -> Rhythm:
     >>> chromatic_durations(3).durations
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))
     """
+    from .rhythm import Rhythm  # rhythm loads fractions, which no other perm function needs
+
     if n < 1:
         raise Empty(f"need at least one duration, got {n}")
-    return Rhythm(tuple(Fraction(i) for i in range(1, n + 1)), CHROMATIC_UNIT)
+    return Rhythm(range(1, n + 1), CHROMATIC_UNIT)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(namedtuple("OrbitTable", "base rows")):
     """Successive readings of a base sequence until the base recurs.
 
     rows[0] is the first reading and rows[-1] equals the base; with all
     base entries distinct, ``order`` equals the permutation's order.
     """
 
-    base: tuple
-    rows: tuple[tuple, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
         return len(self.rows)
 
 
-def orbit_table(p: Perm, base: Sequence[T], cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
+def orbit_table(p: Perm, base: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     """Iterate p on base until base recurs, recording every reading.
 
     The cap guards against hand-entered permutations whose orbit would be

@@ -14,9 +14,9 @@ non-retrogradability) are exact rational comparisons.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     MAX_DIGITS,
@@ -31,15 +31,13 @@ from .errors import (
     ascii_int,
 )
 
-RatioLike = Union[int, str, Fraction]
-
 # Deterministic Miller-Rabin: with the first 13 primes as bases the test
 # is exact for every n below the bound (Sorenson & Webster 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def as_fraction(value: RatioLike) -> Fraction:
+def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or ``n``/``n/d`` string to an exact Fraction.
 
     Floats are refused: they would smuggle rounding error into a library
@@ -60,21 +58,40 @@ def as_fraction(value: RatioLike) -> Fraction:
     raise TypeError(f"expected int, Fraction or 'n/d' string, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class Rhythm:
     """Immutable nonempty sequence of positive rational durations."""
 
-    durations: tuple[Fraction, ...]
-    unit: str = ""
+    __slots__ = __match_args__ = ("durations", "unit")
 
-    def __post_init__(self):
-        coerced = tuple(as_fraction(d) for d in self.durations)
+    def __init__(self, durations: Iterable[int | str | Fraction], unit: str = ""):
+        coerced = tuple(as_fraction(d) for d in durations)
         if not coerced:
             raise ValueError("a rhythm needs at least one duration")
         for d in coerced:
             if d <= 0:
                 raise ValueError(f"durations must be strictly positive, got {_shown(d)}")
         object.__setattr__(self, "durations", coerced)
+        object.__setattr__(self, "unit", unit)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.durations == other.durations and self.unit == other.unit
+
+    def __hash__(self) -> int:
+        return hash((self.durations, self.unit))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(durations={self.durations!r}, unit={self.unit!r})"
+
+    def __reduce__(self):
+        return type(self), (self.durations, self.unit)
 
     def __len__(self) -> int:
         return len(self.durations)
@@ -86,7 +103,7 @@ class Rhythm:
         return format_rhythm(self)
 
 
-def rhythm(values: Iterable[RatioLike], unit: str = "") -> Rhythm:
+def rhythm(values: Iterable[int | str | Fraction], unit: str = "") -> Rhythm:
     """Convenience constructor accepting ints, Fractions or ``n/d`` strings.
 
     >>> rhythm([2, 1, 2]).durations
@@ -125,7 +142,7 @@ def augmentation_kind(ratio: Fraction) -> str:
     return "identity"
 
 
-def augment(r: Rhythm, ratio: RatioLike) -> Rhythm:
+def augment(r: Rhythm, ratio: int | str | Fraction) -> Rhythm:
     """Multiply every duration by a constant positive ratio.
 
     A ratio above 1 is an augmentation, below 1 a diminution.
@@ -159,7 +176,7 @@ def eliminate_extremes(r: Rhythm, k: int) -> Rhythm:
     return Rhythm(r.durations[k:-k], r.unit)
 
 
-def scale_central(r: Rhythm, ratio: RatioLike) -> Rhythm:
+def scale_central(r: Rhythm, ratio: int | str | Fraction) -> Rhythm:
     """Multiply the middle duration of an odd-length rhythm by a positive ratio."""
     q = as_fraction(ratio)
     if q <= 0:
@@ -216,14 +233,13 @@ def is_prime_total(r: Rhythm) -> bool:
     return _is_prime(total.numerator)
 
 
-class AugmentationChain(NamedTuple):
+class AugmentationChain(namedtuple("AugmentationChain", "prefix ratios")):
     """A decomposition r = prefix ++ ratios[0]*prefix ++ ratios[1]*prefix ++ ..."""
 
-    prefix: Rhythm
-    ratios: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-def detect_augmentation_chain(r: Rhythm) -> Optional[AugmentationChain]:
+def detect_augmentation_chain(r: Rhythm) -> AugmentationChain | None:
     """Decompose r into a prefix followed by scaled copies of that prefix.
 
     Each later block must be the prefix multiplied by a single ratio, and
@@ -253,23 +269,16 @@ def detect_augmentation_chain(r: Rhythm) -> Optional[AugmentationChain]:
     return None
 
 
-@dataclass(frozen=True)
-class SequenceShape:
+class SequenceShape(namedtuple("SequenceShape", "values constant increasing decreasing unimodal")):
     """Shape flags for one extracted subsequence of durations."""
 
-    values: tuple[Fraction, ...]
-    constant: bool
-    increasing: bool
-    decreasing: bool
-    unimodal: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InterleaveProfile:
+class InterleaveProfile(namedtuple("InterleaveProfile", "odd even")):
     """Shapes of the odd-position and even-position subsequences (1-based)."""
 
-    odd: SequenceShape
-    even: SequenceShape
+    __slots__ = ()
 
 
 def _shape(values: tuple[Fraction, ...]) -> SequenceShape:
@@ -302,31 +311,37 @@ def interleave_profile(r: Rhythm) -> InterleaveProfile:
     )
 
 
-@dataclass(frozen=True)
-class Voice:
+class Voice(namedtuple("Voice", "delay ratio onsets end")):
     """One canon voice: entry delay plus augmentation ratio for the subject."""
 
-    delay: Fraction
-    ratio: Fraction
-    onsets: tuple[Fraction, ...]
-    end: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CanonSchedule:
+class CanonSchedule(namedtuple("CanonSchedule", "subject voices events")):
     """Onset schedule of a rhythmic canon.
 
     ``events`` merges every voice in time order as (onset, voice index,
-    scaled duration) triples, ties broken by voice index.
+    scaled duration) triples, ties broken by voice index; being derived
+    from the voices, it takes no part in == and hash.
     """
 
-    subject: Rhythm
-    voices: tuple[Voice, ...]
-    events: tuple[tuple[Fraction, int, Fraction], ...] = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
 
 def build_canon(
-    subject: Rhythm, voices: Sequence[tuple[RatioLike, RatioLike]]
+    subject: Rhythm, voices: Sequence[tuple[int | str | Fraction, int | str | Fraction]]
 ) -> CanonSchedule:
     """Schedule the subject in several voices, each delayed and scaled.
 
@@ -384,7 +399,7 @@ def parse_rhythm(text: str) -> Rhythm:
     return Rhythm(tuple(durations), unit)
 
 
-def format_values(values: Iterable[RatioLike]) -> str:
+def format_values(values: Iterable[int | str | Fraction]) -> str:
     """The one writer of exact values: ``n`` or ``n/d`` separated by single
     spaces, each read back by :func:`as_fraction`.
 
@@ -407,7 +422,7 @@ def format_values(values: Iterable[RatioLike]) -> str:
     return text
 
 
-def _shown(value: RatioLike) -> str:
+def _shown(value: int | str | Fraction) -> str:
     try:  # a value in an error message, which must not raise in turn
         return format_values([value])
     except DomainError as exc:

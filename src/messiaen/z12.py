@@ -9,7 +9,8 @@ ship as the constant table ``MODES``.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import DegenerateSet, ParseError, ascii_int
 
@@ -43,11 +44,10 @@ _SPELLINGS = {
 _PITCH_LABELS = ("C", "Db", "D", "Eb", "E", "F", "Gb", "G", "Ab", "A", "Bb", "B")
 
 
-class ModeId(NamedTuple):
+class ModeId(namedtuple("ModeId", "number offset")):
     """A catalogued mode number (1..7) and 0-based transposition offset."""
 
-    number: int
-    offset: int
+    __slots__ = ()
 
     @property
     def period(self) -> int:
@@ -128,7 +128,7 @@ _MODE_IDS = {_rotate(bitmask(mode), t): ModeId(number, t)
              for number, mode in enumerate(MODES, start=1) for t in range(minimal_period(mode))}
 
 
-def classify_mode(s: PcSet) -> Optional[ModeId]:
+def classify_mode(s: PcSet) -> ModeId | None:
     """Identify s as a transposition of a catalogued mode, or None.
 
     No two of the 33 transpositions of the seven modes are equal, so at

@@ -1,0 +1,103 @@
+"""The command line in a fresh interpreter, where nothing is imported yet.
+
+In-process tests run with every module already loaded, so they cannot
+see a name that a handler uses without importing it.  Here each action
+runs once under ``python -S -m messiaen.cli`` and must give what
+``cli.run`` gives in process; a second fresh run of each action lists
+the modules it loaded.
+"""
+
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from messiaen import catalog, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+
+# One argv for each of the 19 actions.
+ACTIONS = [
+    ["rhythm", "analyze", "1 3 2 3 3 3 2 3 1 3"],
+    ["rhythm", "retrograde", "1 2 @unit=u"],
+    ["rhythm", "augment", "--ratio", "3/2", "2 1 2", "--format", "machine"],
+    ["rhythm", "amplify", "--wing", "3 1", "2 1 2"],
+    ["rhythm", "eliminate", "--count", "1", "3 2 1 2 3"],
+    ["rhythm", "central", "--ratio", "2", "2 1 2"],
+    ["rhythm", "canon", "--voice", "0:1", "--voice", "1:3/2", "2 1 2", "--format", "machine"],
+    ["pcset", "classify", "0 4 8"],
+    ["pcset", "period", "C D E F# G# Bb"],
+    ["pcset", "enumerate", "--format", "machine"],
+    ["pcset", "truncated", "0 1 6 7"],
+    ["perm", "order", "--chronochromie"],
+    ["perm", "cycles", "3 1 2", "--format", "machine"],
+    ["perm", "fan", "5"],
+    ["perm", "orbit", "2 3 1", "--cap", "3"],
+    ["perm", "count", "30"],
+    ["catalog", "list", "--which", "modes"],
+    ["catalog", "analyze", "--id", "18", "--format", "machine"],
+    ["catalog", "filter", "augchain"],
+]
+
+# Modules a call must not load: the class machinery and annotation
+# support the package no longer uses.
+NEVER = {"dataclasses", "inspect", "typing", "pathlib"}
+# Actions that need neither exact rationals nor the rhythm and catalog modules.
+PITCH_AND_PERM = {("pcset", "classify"), ("pcset", "enumerate"),
+                  ("perm", "order"), ("perm", "cycles"), ("perm", "count")}
+
+LIST_MODULES = (
+    "import contextlib, io, json, sys\n"
+    "from messiaen import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    cli.run(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+
+IDS = [" ".join(argv[:2]) for argv in ACTIONS]
+
+
+def _fresh(args):
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=ENV, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """Both fresh runs of every action, three interpreters at a time."""
+    jobs = [["-m", "messiaen.cli", *argv] for argv in ACTIONS] + [["-c", LIST_MODULES, *argv] for argv in ACTIONS]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        procs = list(pool.map(_fresh, jobs))
+    return dict(zip(IDS, procs[:len(ACTIONS)])), dict(zip(IDS, procs[len(ACTIONS):]))
+
+
+def test_every_action_has_an_argv():
+    assert len({tuple(argv[:2]) for argv in ACTIONS}) == len(ACTIONS) == 19
+
+
+@pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
+def test_fresh_interpreter_matches_in_process(argv, fresh, capsys):
+    proc = fresh[0][" ".join(argv[:2])]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")) == (
+        code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
+def test_fresh_call_loads_only_what_its_action_uses(argv, fresh):
+    proc = fresh[1][" ".join(argv[:2])]
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & NEVER
+    if tuple(argv[:2]) in PITCH_AND_PERM:
+        assert not loaded & {"fractions", "messiaen.rhythm", "messiaen.catalog"}
+
+
+def test_filter_choices_are_the_catalog_predicates():
+    assert list(cli.PREDICATES) == sorted(catalog.PREDICATES)

@@ -22,7 +22,9 @@ The corpus:
   the 4300-digit bound;
 - ``catalog`` actions on a catalog, written to a fixed directory under
   the system's temporary directory, whose first total is past the
-  primality bound.
+  primality bound;
+- ``--help`` at the top, for every verb and for every action, and the
+  bare call of the program and of every verb.
 
 The package comes from ``PYTHONPATH``; the corpus from this checkout.  To
 compare a change with its parent, record once with each tree's ``src``::
@@ -129,10 +131,16 @@ def _catalog_argv() -> list[list[str]]:
     return [argv + ["--data", str(data)] + fmt for argv in actions for fmt in FORMATS]
 
 
+def _help_argv(actions) -> list[list[str]]:
+    verbs = list(dict.fromkeys(verb for verb, _ in actions))
+    return [["--help"], []] + [[verb, *tail] for verb in verbs for tail in (["--help"], [])] + [
+        [verb, action, "--help"] for verb, action in actions]
+
+
 def corpus() -> list[list[str]]:
     sys.path.insert(0, str(ROOT))
     from perfbench import cli_mix
-    from tests.test_cli_fuzz import _argv
+    from tests.test_cli_fuzz import ACTIONS, _argv
 
     import messiaen
 
@@ -143,7 +151,8 @@ def corpus() -> list[list[str]]:
     data_dir = Path(messiaen.__file__).parent / "data"
     for seed in CLI_MIX_SEEDS:
         argvs += [op.argv for op in cli_mix.build(seed, data_dir)]
-    return argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _edge_argv() + _catalog_argv()
+    return (argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _edge_argv() + _catalog_argv()
+            + _help_argv(ACTIONS))
 
 
 def _outcome(run, argv: list[str]) -> dict:
