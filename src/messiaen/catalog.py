@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 
 from . import z12
-from .errors import BadPredicate, DomainError, DuplicateId, NonIntegerTotal, ParseError, TooShort, ascii_int
+from .errors import BadPredicate, DomainError, DuplicateId, NonIntegerTotal, ParseError, TooShort, ascii_int, oui
 from .rhythm import (
     InterleaveProfile,
     Rhythm,
@@ -246,10 +246,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _oui(flag: bool) -> str:
-    return "oui" if flag else "non"
-
-
 def _shape_label(shape: SequenceShape) -> str:
     if shape.constant:
         return "constante"
@@ -268,12 +264,12 @@ def render_report(report: AnalysisReport, rhythm: Rhythm) -> str:
     if report.entry_id is not None:
         lines.append(f"id: {report.entry_id}")
     lines.append(f"durées: {format_rhythm(rhythm)}")
-    lines.append(f"non rétrogradable: {_oui(report.non_retrogradable)}")
+    lines.append(f"non rétrogradable: {oui(report.non_retrogradable)}")
     lines.append(f"durée totale: {format_values([report.total])}")
     if report.prime_total is None:
         lines.append("total premier: — (total non entier)")
     else:
-        lines.append(f"total premier: {_oui(report.prime_total)}")
+        lines.append(f"total premier: {oui(report.prime_total)}")
     chain = report.augmentation_chain
     if chain is None:
         lines.append("chaîne d'augmentation: aucune")

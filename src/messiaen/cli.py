@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, oui
 
 MACHINE = "machine"
 # The names of catalog.PREDICATES, for the parser of `catalog filter`.
@@ -164,14 +164,14 @@ def _cmd_pcset_classify(args, machine: bool) -> str:
 
 
 def _cmd_pcset_period(args, machine: bool) -> str:
-    from . import catalog as cat, z12
+    from . import z12
 
     s = z12.parse_pcset(args.pcset_text)
     period = z12.minimal_period(s)
     if machine:
         return f"{period}\n"
     line = f"période minimale: {period} — {period} transpositions distinctes"
-    line += f" — transpositions limitées: {cat._oui(period < 12)}"
+    line += f" — transpositions limitées: {oui(period < 12)}"
     if z12.is_degenerate(s):
         line += " — ensemble dégénéré"
     return line + "\n"
@@ -192,10 +192,10 @@ def _cmd_pcset_enumerate(args, machine: bool) -> str:
 
 
 def _cmd_pcset_truncated(args, machine: bool) -> str:
-    from . import catalog as cat, z12
+    from . import z12
 
     truncated = z12.detect_truncated(z12.parse_pcset(args.pcset_text))
-    return _json(truncated) if machine else f"mode tronqué: {cat._oui(truncated)}\n"
+    return _json(truncated) if machine else f"mode tronqué: {oui(truncated)}\n"
 
 
 # --- perm ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception types shared by all modules, and the integer-token reader behind them.
+"""Exception types shared by all modules, the integer-token reader behind them, and the yes/no word.
 
 Two families matter to callers: `ParseError` (malformed input text, CLI
 exit code 2) and `DomainError` (well-formed input outside an operation's
@@ -36,6 +36,11 @@ def ascii_int(token: str, line: int | None = None) -> int | None:
     if len(token) > MAX_DIGITS:
         raise ParseError(f"integer of {len(token)} digits, more than {MAX_DIGITS}", line)
     return int(token)
+
+
+def oui(flag: bool) -> str:
+    """The French yes/no word of every human report."""
+    return "oui" if flag else "non"
 
 
 class DuplicateId(ParseError):

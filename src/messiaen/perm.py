@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from .errors import CapExceeded, DomainError, Empty, NotABijection, ParseError, SizeMismatch, ascii_int
 
@@ -37,13 +38,15 @@ _CHRONOCHROMIE_ONE_BASED = (
 class Perm:
     """A bijection on {0..n-1} under the reading-order convention."""
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_read")
 
     def __init__(self, mapping: Iterable[int]):
         m = tuple(mapping)
         if sorted(m) != list(range(len(m))):
             raise NotABijection(f"not a bijection on 0..{len(m) - 1}: {m}")
         self._map = m
+        # Every reading, in C; itemgetter(i) alone returns the item, not a 1-tuple.
+        self._read = itemgetter(*m) if len(m) > 1 else tuple
 
     @property
     def mapping(self) -> tuple[int, ...]:
@@ -69,7 +72,7 @@ class Perm:
         """
         if len(seq) != len(self._map):
             raise SizeMismatch(f"sequence of length {len(seq)} under a {len(self._map)}-point permutation")
-        return tuple(seq[i] for i in self._map)
+        return self._read(seq)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition covering every point, fixed points included.
@@ -195,18 +198,22 @@ def orbit_table(p: Perm, base: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> OrbitT
     if length * len(start) > MAX_TABLE_ENTRIES:
         raise CapExceeded(f"orbit table of {length} rows of {len(start)} points"
                           f" exceeds {MAX_TABLE_ENTRIES} entries")
-    rows = [p.apply(start)]
+    read = p._read
+    rows = [read(start)]
     while len(rows) < length:
-        rows.append(p.apply(rows[-1]))
+        rows.append(read(rows[-1]))
     return OrbitTable(start, tuple(rows))
 
 
 def _rotation_period(values: list) -> int:
     """Smallest d >= 1 with values rotated by d equal to values."""
-    n = len(values)
-    # Testing one value first spares building a rotation for most d.
-    return next(d for d in range(1, n + 1)
-                if n % d == 0 and values[d % n] == values[0] and values[d:] + values[:d] == values)
+    n, d = len(values), 0
+    # Only a d where values[0] recurs is tried; it recurs at n at the latest.
+    ring = values + values[:1]
+    while True:
+        d = ring.index(values[0], d + 1)
+        if n % d == 0 and values[d:] + values[:d] == values:
+            return d
 
 
 def permutation_count(n: int) -> int:

@@ -47,8 +47,15 @@ ACTIONS = [
 # support the package no longer uses.
 NEVER = {"dataclasses", "inspect", "typing", "pathlib"}
 # Actions that need neither exact rationals nor the rhythm and catalog modules.
-PITCH_AND_PERM = {("pcset", "classify"), ("pcset", "enumerate"),
+PITCH_AND_PERM = {("pcset", "classify"), ("pcset", "period"), ("pcset", "enumerate"), ("pcset", "truncated"),
                   ("perm", "order"), ("perm", "cycles"), ("perm", "count")}
+# The other format of each pitch-class action, for the same check.
+PCSET_OTHER_FORMAT = [
+    ["pcset", "classify", "0 4 8", "--format", "machine"],
+    ["pcset", "period", "C D E F# G# Bb", "--format", "machine"],
+    ["pcset", "enumerate"],
+    ["pcset", "truncated", "0 1 6 7", "--format", "machine"],
+]
 
 LIST_MODULES = (
     "import contextlib, io, json, sys\n"
@@ -68,11 +75,13 @@ def _fresh(args):
 
 @pytest.fixture(scope="module")
 def fresh():
-    """Both fresh runs of every action, three interpreters at a time."""
-    jobs = [["-m", "messiaen.cli", *argv] for argv in ACTIONS] + [["-c", LIST_MODULES, *argv] for argv in ACTIONS]
+    """Both fresh runs of every action, and a listing run of each other pcset format, three at a time."""
+    listed = ACTIONS + PCSET_OTHER_FORMAT
+    jobs = [["-m", "messiaen.cli", *argv] for argv in ACTIONS] + [["-c", LIST_MODULES, *argv] for argv in listed]
     with ThreadPoolExecutor(max_workers=3) as pool:
         procs = list(pool.map(_fresh, jobs))
-    return dict(zip(IDS, procs[:len(ACTIONS)])), dict(zip(IDS, procs[len(ACTIONS):]))
+    n = len(ACTIONS)
+    return dict(zip(IDS, procs[:n])), dict(zip(IDS, procs[n:2 * n])), procs[2 * n:]
 
 
 def test_every_action_has_an_argv():
@@ -97,6 +106,12 @@ def test_fresh_call_loads_only_what_its_action_uses(argv, fresh):
     assert not loaded & NEVER
     if tuple(argv[:2]) in PITCH_AND_PERM:
         assert not loaded & {"fractions", "messiaen.rhythm", "messiaen.catalog"}
+
+
+def test_fresh_pcset_call_in_its_other_format_loads_no_rationals(fresh):
+    for argv, proc in zip(PCSET_OTHER_FORMAT, fresh[2]):
+        assert proc.returncode == 0, proc.stderr
+        assert not set(json.loads(proc.stdout)) & {"fractions", "messiaen.rhythm", "messiaen.catalog"}, argv
 
 
 def test_filter_choices_are_the_catalog_predicates():

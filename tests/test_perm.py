@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from messiaen import perm as pm
@@ -17,6 +19,7 @@ from messiaen.errors import (
     SizeMismatch,
 )
 from messiaen.perm import (
+    DEFAULT_ORBIT_CAP,
     FAN_MAX,
     MAX_TABLE_ENTRIES,
     Perm,
@@ -318,3 +321,92 @@ def test_orbit_table_refuses_tables_past_the_entry_bound(monkeypatch):
     assert orbit_table(fan(3), (1, 2, 3)).order == 2  # 2 x 3 = 6 entries
     with pytest.raises(CapExceeded, match="3 rows of 4 points exceeds 6 entries"):
         orbit_table(fan(4), (1, 2, 3, 4))
+
+
+def _apply_by_generator(p, seq):
+    """Perm.apply as first written, one Python step per entry: the reference."""
+    if len(seq) != len(p):
+        raise SizeMismatch(f"sequence of length {len(seq)} under a {len(p)}-point permutation")
+    return tuple(seq[i] for i in p.mapping)
+
+
+def _rotation_period_by_generator(values):
+    """_rotation_period as first written, trying every d in 1..n: the reference."""
+    n = len(values)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and values[d % n] == values[0] and values[d:] + values[:d] == values)
+
+
+def _orbit_rows_by_generator(p, base, cap):
+    """orbit_table as first written, each row read by the generator: the reference."""
+    start = tuple(base)
+    if len(start) != len(p):
+        raise SizeMismatch(f"base of length {len(start)} under a {len(p)}-point permutation")
+    length = math.lcm(*(_rotation_period_by_generator([start[i] for i in c]) for c in p.cycles()))
+    if length > max(cap, 1):
+        raise CapExceeded(f"orbit did not close within {cap} iterations")
+    if length * len(start) > pm.MAX_TABLE_ENTRIES:
+        raise CapExceeded(f"orbit table of {length} rows of {len(start)} points"
+                          f" exceeds {pm.MAX_TABLE_ENTRIES} entries")
+    rows = [_apply_by_generator(p, start)]
+    while len(rows) < length:
+        rows.append(_apply_by_generator(p, rows[-1]))
+    return tuple(rows)
+
+
+def _outcome(fn, *args):
+    """A result, or the type and message of the DomainError raised instead."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+VALUE_KINDS = {"int": lambda v: v, "Fraction": lambda v: F(2 * v + 1, 3), "str": lambda v: chr(0x3B1 + v)}
+
+
+@st.composite
+def orbit_cases(draw):
+    """A permutation of 1-40 points and a base of distinct, repeated or equal values.
+
+    The values are ints, Fractions or one-letter strs, held in a tuple, a
+    list or (for strs) a str; now and then the base is one value short or
+    long.
+    """
+    n = draw(st.integers(1, 40))
+    mapping = draw(st.permutations(range(n)))
+    size = n + draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)))
+    shape = draw(st.sampled_from(("distinct", "repeated", "equal")))
+    if shape == "distinct":
+        codes = list(range(size))
+    elif shape == "repeated":
+        codes = draw(st.lists(st.integers(0, max(1, n // 4)), min_size=size, max_size=size))
+    else:
+        codes = [0] * size
+    kind = draw(st.sampled_from(sorted(VALUE_KINDS)))
+    values = [VALUE_KINDS[kind](c) for c in codes]
+    container = draw(st.sampled_from((tuple, list, "".join) if kind == "str" else (tuple, list)))
+    return Perm(mapping), container(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases(), st.integers(-1, 80) | st.just(DEFAULT_ORBIT_CAP),
+       st.integers(1, 400) | st.just(MAX_TABLE_ENTRIES))
+def test_readings_match_the_generator(case, cap, bound):
+    p, base = case
+    assert _outcome(p.apply, base) == _outcome(_apply_by_generator, p, base)
+    with mock.patch.object(pm, "MAX_TABLE_ENTRIES", bound):
+        got = _outcome(orbit_table, p, base, cap)
+        expected = _outcome(_orbit_rows_by_generator, p, base, cap)
+    if isinstance(got, pm.OrbitTable):
+        assert got.base == tuple(base)
+        got = got.rows
+    assert got == expected
+
+
+def test_rotation_period_matches_the_generator():
+    for kind in VALUE_KINDS.values():
+        for n in range(1, 8):
+            for codes in itertools.product(range(3), repeat=n):
+                values = [kind(c) for c in codes]
+                assert pm._rotation_period(values) == _rotation_period_by_generator(values), values
