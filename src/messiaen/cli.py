@@ -228,18 +228,19 @@ def _cmd_perm_cycles(args, machine: bool) -> str:
 
 
 def _cmd_perm_fan(args, machine: bool) -> str:
-    from . import perm as pm, rhythm as rh
+    from . import perm as pm
 
     p = pm.fan(args.size, direction=args.direction)
     if machine:
         return pm.format_perm(p) + "\n"
     side = "gauche" if args.direction == "left" else "droite"
-    table = pm.orbit_table(p, tuple(range(1, args.size + 1)))
+    base = pm.format_perm(pm.identity(args.size))
+    table = pm.orbit_table(p, base.split(" "))
     return _lines([
         f"éventail sur {args.size} objets (du centre vers les extrêmes, départ à {side})",
         f"permutation: {pm.format_perm(p)}",
-        f"suites itérées depuis {rh.format_values(table.base)}:",
-        *(f"  {i}: {rh.format_values(row)}" for i, row in enumerate(table.rows, start=1)),
+        f"suites itérées depuis {base}:",
+        *(f"  {i}: {' '.join(row)}" for i, row in enumerate(table.rows, start=1)),
         f"ordre = {table.order} "
         f"(la liste compte {table.order + 1} suites quand on répète la suite initiale à la fin)",
     ])
@@ -253,8 +254,10 @@ def _cmd_perm_orbit(args, machine: bool) -> str:
         base = rh.parse_rhythm(args.base).durations
     else:
         base = pm.chromatic_durations(len(p)).durations
-    table = pm.orbit_table(p, base, cap=pm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
-    rows = [rh.format_values(row) for row in table.rows]
+    # Distinct values have distinct words, so each row is a reading of the base's words.
+    words = rh.format_values(base).split(" ")
+    table = pm.orbit_table(p, words, cap=pm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
+    rows = [" ".join(row) for row in table.rows]
     if machine:
         return _lines(rows)
     return _lines([f"{i}: {row}" for i, row in enumerate(rows, start=1)] + [f"ordre = {table.order}"])

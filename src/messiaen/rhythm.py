@@ -35,6 +35,9 @@ from .errors import (
 # is exact for every n below the bound (Sorenson & Webster 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+# Largest canon scheduled, in events (voices x durations): its events are
+# sorted as Fraction triples, a few seconds' work at the bound.
+MAX_CANON_EVENTS = 250_000
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
@@ -347,6 +350,8 @@ def build_canon(
 
     Voice onsets are delay + ratio * (prefix sum of subject durations);
     pitch content is out of scope, the canon lives in the durations only.
+    More than ``MAX_CANON_EVENTS`` events in all is a DomainError, raised
+    before any voice is read.
 
     >>> sched = build_canon(rhythm([2, 1, 2]), [(0, 1), (1, "3/2")])
     >>> sched.voices[1].onsets
@@ -354,6 +359,9 @@ def build_canon(
     """
     if not voices:
         raise NoVoices("a canon needs at least one voice")
+    if len(voices) * len(subject) > MAX_CANON_EVENTS:
+        raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations"
+                          f" exceeds {MAX_CANON_EVENTS} events")
     prefix = [Fraction(0)]
     for d in subject.durations:
         prefix.append(prefix[-1] + d)

@@ -1,17 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from messiaen import catalog as cat
 from messiaen import perm as pm
 from messiaen import z12
 from messiaen.cli import COUNT_MAX, build_parser, run
+from messiaen.errors import DomainError
 from messiaen.rhythm import (
     augment,
     build_canon,
     eliminate_extremes,
+    format_values,
     parse_rhythm,
     retrograde,
     rhythm,
@@ -261,6 +269,59 @@ def test_machine_orbit_custom_base(cli):
     assert tuple(rows) == table.rows
 
 
+def _orbit_by_values(perm_text, base_text, cap, machine):
+    """`perm orbit` as first written, the values' table written row by row
+    through the one writer: the reference."""
+    try:
+        table = pm.orbit_table(pm.parse_perm(perm_text), parse_rhythm(base_text).durations, cap=cap)
+    except DomainError as exc:
+        return 3, "", f"erreur: {exc}\n"
+    rows = [format_values(row) for row in table.rows]
+    if not machine:
+        rows = [f"{i}: {row}" for i, row in enumerate(rows, start=1)] + [f"ordre = {table.order}"]
+    return 0, "".join(f"{row}\n" for row in rows), ""
+
+
+@st.composite
+def orbit_calls(draw):
+    """A permutation of 1-40 points and a base of distinct, repeated or
+    all-equal values, each written with a random common factor (1/2 as
+    2/4, 3 as 6/2)."""
+    n = draw(st.integers(1, 40))
+    perm_text = " ".join(map(str, draw(st.permutations(range(1, n + 1)))))
+    value = st.builds(Fraction, st.integers(1, 60), st.integers(1, 8))
+    kind = draw(st.sampled_from(["distinct", "repeated", "equal"]))
+    if kind == "distinct":
+        values = draw(st.lists(value, min_size=n, max_size=n, unique=True))
+    else:
+        pool = draw(st.lists(value, min_size=1, max_size=1 if kind == "equal" else 3))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    words = []
+    for v in values:
+        m = draw(st.integers(1, 3))
+        words.append(f"{v.numerator * m}/{v.denominator * m}" if m > 1 or v.denominator > 1 else str(v))
+    return perm_text, " ".join(words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_calls(), st.integers(-2, 2) | st.none(), st.integers(-1, 1) | st.none(), st.booleans())
+def test_orbit_text_matches_the_values_written_row_by_row(call, cap_offset, entry_offset, machine):
+    # cap and entry bound are set on both sides of the orbit's length, so that
+    # both refusals are compared too
+    perm_text, base_text = call
+    length = pm.orbit_table(pm.parse_perm(perm_text), parse_rhythm(base_text).durations).order
+    cap = pm.DEFAULT_ORBIT_CAP if cap_offset is None else length + cap_offset
+    entries = pm.MAX_TABLE_ENTRIES if entry_offset is None else length * len(base_text.split()) + entry_offset
+    argv = ["perm", "orbit", "--base", base_text, perm_text, f"--cap={cap}",
+            "--format", "machine" if machine else "human"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(pm, "MAX_TABLE_ENTRIES", entries):
+        expected = _orbit_by_values(perm_text, base_text, cap, machine)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert (code, out.getvalue(), err.getvalue()) == expected
+
+
 def test_machine_catalog_list_round_trips(cli):
     code, out, _ = cli("catalog", "list", "--format", "machine")
     assert cat.load_catalog(out.splitlines()) == cat.seed_talas()
@@ -443,6 +504,15 @@ def test_fans_past_their_bounds_exit_3(cli, argv):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err.startswith("erreur: ") and err.count("\n") == 1
+
+
+def test_canon_past_the_event_bound_exits_3_at_once(cli):
+    voices = [f"--voice={i}:1" for i in range(501)]  # 501 voices x 500 durations, one voice past the bound
+    start = time.perf_counter()
+    code, out, err = cli("rhythm", "canon", *voices, " ".join(["1"] * 500))
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == "erreur: canon of 501 voices of 500 durations exceeds 250000 events\n"
 
 
 @pytest.mark.parametrize("predicate", ["nonretro", "augchain", "interleave", "prime"])

@@ -114,5 +114,12 @@ def test_fresh_pcset_call_in_its_other_format_loads_no_rationals(fresh):
         assert not set(json.loads(proc.stdout)) & {"fractions", "messiaen.rhythm", "messiaen.catalog"}, argv
 
 
+def test_fresh_human_fan_loads_no_rationals(fresh):
+    # its base 1..n is a permutation's text, and each row a reading of its words
+    proc = fresh[1]["perm fan"]
+    assert ACTIONS[IDS.index("perm fan")] == ["perm", "fan", "5"]
+    assert not set(json.loads(proc.stdout)) & {"fractions", "messiaen.rhythm"}
+
+
 def test_filter_choices_are_the_catalog_predicates():
     assert list(cli.PREDICATES) == sorted(catalog.PREDICATES)

@@ -303,6 +303,16 @@ def test_build_canon_errors():
         build_canon(AMPHIMACER, [(-1, 1)])
 
 
+def test_build_canon_refuses_canons_past_the_event_bound(monkeypatch):
+    monkeypatch.setattr("messiaen.rhythm.MAX_CANON_EVENTS", 6)
+    assert len(build_canon(AMPHIMACER, [(0, 1), (1, 2)]).events) == 6  # 2 voices x 3 durations
+    with pytest.raises(DomainError, match="3 voices of 3 durations exceeds 6 events"):
+        build_canon(AMPHIMACER, [(0, 1), (1, 2), (2, 1)])
+    # refused before any voice is read: the negative delays are not reached
+    with pytest.raises(DomainError, match="exceeds 6 events"):
+        build_canon(AMPHIMACER, [(-1, 1)] * 3)
+
+
 def test_parse_rhythm():
     assert parse_rhythm("2 1 2") == AMPHIMACER
     r = parse_rhythm("1 1 1 3/2 @unit=double croche")

@@ -18,6 +18,10 @@ The corpus:
 - fans at and past the size bound and the table-entry bound (past the
   size bound in machine format only: the human table of a fan of 10⁵
   points holds 10¹⁰ entries where no entry bound refuses it);
+- ``perm orbit --base`` with repeated values and with equal values
+  written differently (``1/2`` and ``2/4``), both formats;
+- ``rhythm canon`` at the event bound, in both formats, and one voice
+  past it, in machine format only;
 - edge cases of the integer flags, of ``--unit``, and of results past
   the 4300-digit bound;
 - ``catalog`` actions on a catalog, written to a fixed directory under
@@ -91,6 +95,26 @@ def _fan_argv() -> list[list[str]]:
         ["perm", "fan", n, "--format", "machine"] for n in ("100000", "100001", "9" * 30)]
 
 
+def _orbit_base_argv() -> list[list[str]]:
+    bases = ["1/2 2/4", "2/4 1/2 3 6/2", "3 6/2 9/3 1", "1 1 1 1", "1/2 2/4 1/2 2/4 1/3 2/6", "2 2 1 1 2 2"]
+    cases = []
+    for base in bases:
+        n = len(base.split())
+        shift = " ".join(str(i % n + 1) for i in range(1, n + 1))
+        reverse = " ".join(str(n - i) for i in range(n))
+        cases += [["perm", "orbit", "--base", base, shift], ["perm", "orbit", "--base", base, reverse],
+                  ["perm", "orbit", "--base", base, shift, "--cap", "1"]]
+    return [argv + fmt for argv in cases for fmt in FORMATS]
+
+
+def _canon_argv() -> list[list[str]]:
+    def canon(voices: int) -> list[str]:  # voices of 500 durations each
+        return ["rhythm", "canon", *(f"--voice={i}:1" for i in range(voices)), " ".join(["1"] * 500)]
+
+    # 500 x 500 events is the bound. Past it, machine format only: a tree without the bound schedules it.
+    return [canon(500) + fmt for fmt in FORMATS] + [canon(501) + ["--format", "machine"]]
+
+
 def _edge_argv() -> list[list[str]]:
     ints = ["+5", "-1", "1_0", "0", "3", "١", "٣", "²", "٣٣", " 3", "3 ", "0x10", "1e3", "", "9" * 30]
     flags = [
@@ -151,8 +175,8 @@ def corpus() -> list[list[str]]:
     data_dir = Path(messiaen.__file__).parent / "data"
     for seed in CLI_MIX_SEEDS:
         argvs += [op.argv for op in cli_mix.build(seed, data_dir)]
-    return (argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _edge_argv() + _catalog_argv()
-            + _help_argv(ACTIONS))
+    return (argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _orbit_base_argv()
+            + _canon_argv() + _edge_argv() + _catalog_argv() + _help_argv(ACTIONS))
 
 
 def _outcome(run, argv: list[str]) -> dict:
