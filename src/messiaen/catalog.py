@@ -131,8 +131,12 @@ def serialize_modes(entries: Iterable[ModeEntry]) -> str:
 
 
 def _read_seed(name: str, data_dir: str | None = None) -> list[str]:
-    with open(os.path.join(_DATA_DIR if data_dir is None else data_dir, name), encoding="utf-8") as f:
-        return f.read().splitlines()
+    path = os.path.join(_DATA_DIR if data_dir is None else data_dir, name)
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def seed_talas(data_dir: str | None = None) -> list[TalaEntry]:

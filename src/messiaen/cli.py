@@ -131,16 +131,18 @@ def _cmd_rhythm_canon(args, machine: bool) -> str:
     voices = [_parse_voice(v) for v in args.voice]
     sched = rh.build_canon(subject, voices)
     heads = [rh.format_values([v.delay, v.ratio, v.end]).split() for v in sched.voices]
-    onsets = [rh.format_values(v.onsets) for v in sched.voices]
-    times = rh.format_values(t for t, _, _ in sched.events).split()
+    onsets = [rh.format_values(v.onsets).split(" ") for v in sched.voices]
+    # A voice's events come in the order of its onsets, so each event's time is its voice's next word.
+    readers = [iter(words) for words in onsets]
+    times = [next(readers[v]) for _, v, _ in sched.events]
     if machine:
         durations = rh.format_values(d for _, _, d in sched.events).split()
         return _json({
             "subject": rh.format_rhythm(subject),
-            "voices": [{"delay": d, "ratio": q, "onsets": o.split(), "end": e} for (d, q, e), o in zip(heads, onsets)],
+            "voices": [{"delay": d, "ratio": q, "onsets": o, "end": e} for (d, q, e), o in zip(heads, onsets)],
             "events": [[t, i + 1, d] for t, (_, i, _), d in zip(times, sched.events, durations)],
         })
-    lines = [f"voix {i}: départ {d}, rapport {q}, attaques {o}, fin {e}"
+    lines = [f"voix {i}: départ {d}, rapport {q}, attaques {' '.join(o)}, fin {e}"
              for i, ((d, q, e), o) in enumerate(zip(heads, onsets), start=1)]
     merged = "  ".join(f"{t} (voix {i + 1})" for t, (_, i, _) in zip(times, sched.events))
     return _lines(lines + [f"événements: {merged}"])
@@ -247,15 +249,16 @@ def _cmd_perm_fan(args, machine: bool) -> str:
 
 
 def _cmd_perm_orbit(args, machine: bool) -> str:
-    from . import perm as pm, rhythm as rh
+    from . import perm as pm
 
     p = _perm_arg(args)
-    if args.base:
-        base = rh.parse_rhythm(args.base).durations
-    else:
-        base = pm.chromatic_durations(len(p)).durations
     # Distinct values have distinct words, so each row is a reading of the base's words.
-    words = rh.format_values(base).split(" ")
+    if args.base:
+        from . import rhythm as rh
+
+        words = rh.format_values(rh.parse_rhythm(args.base).durations).split(" ")
+    else:  # the chromatic durations 1..n, written as the fan writes its base
+        words = pm.format_perm(pm.identity(len(p))).split(" ")
     table = pm.orbit_table(p, words, cap=pm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
     rows = [" ".join(row) for row in table.rows]
     if machine:

@@ -132,6 +132,13 @@ def test_seed_talas_content():
     assert by_id[105].name == "Candrakalâ" and by_id[105].gloss == "beauté de la lune"
 
 
+@pytest.mark.parametrize("loader,name", [(seed_talas, "talas.cat"), (seed_quatuor, "quatuor.cat"),
+                                         (seed_modes, "modes.cat")])
+def test_seed_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, loader, name):
+    (tmp_path / name).write_bytes(b"1|a|b|2 1 2\n\xff|x|y|1\n")
+    with pytest.raises(ParseError, match=f"{name}: not UTF-8 text"):
+        loader(str(tmp_path))
+
 def test_seed_quatuor_content():
     entries = seed_quatuor()
     assert [tuple(int(d) for d in e.rhythm.durations) for e in entries] == QUATUOR_DURATIONS

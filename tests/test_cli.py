@@ -19,6 +19,7 @@ from messiaen.rhythm import (
     augment,
     build_canon,
     eliminate_extremes,
+    format_rhythm,
     format_values,
     parse_rhythm,
     retrograde,
@@ -513,6 +514,63 @@ def test_canon_past_the_event_bound_exits_3_at_once(cli):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err == "erreur: canon of 501 voices of 500 durations exceeds 250000 events\n"
+
+
+def _canon_writing_every_event(subject_text, voices, machine):
+    """`rhythm canon` as first written, every event time written again
+    through the one writer: the reference."""
+    subject = parse_rhythm(subject_text)
+    sched = build_canon(subject, [tuple(v.split(":")) for v in voices])
+    heads = [format_values([v.delay, v.ratio, v.end]).split() for v in sched.voices]
+    onsets = [format_values(v.onsets) for v in sched.voices]
+    times = format_values(t for t, _, _ in sched.events).split()
+    if machine:
+        durations = format_values(d for _, _, d in sched.events).split()
+        return json.dumps({
+            "subject": format_rhythm(subject),
+            "voices": [{"delay": d, "ratio": q, "onsets": o.split(), "end": e} for (d, q, e), o in zip(heads, onsets)],
+            "events": [[t, i + 1, d] for t, (_, i, _), d in zip(times, sched.events, durations)],
+        }, ensure_ascii=False) + "\n"
+    lines = [f"voix {i}: départ {d}, rapport {q}, attaques {o}, fin {e}"
+             for i, ((d, q, e), o) in enumerate(zip(heads, onsets), start=1)]
+    merged = "  ".join(f"{t} (voix {i + 1})" for t, (_, i, _) in zip(times, sched.events))
+    return "".join(f"{line}\n" for line in lines + [f"événements: {merged}"])
+
+
+@st.composite
+def canon_calls(draw):
+    """A subject of 1-8 durations with repeats, and 1-6 voices with
+    fractional delays and ratios; small values make onsets of different
+    voices coincide, and voices are often drawn from a pool of one or two,
+    so that equal voices occur."""
+    small = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2]))
+    subject = draw(st.lists(small, min_size=1, max_size=8))
+    voice = st.builds("{}:{}".format, st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2])),
+                      st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3])))
+    if draw(st.booleans()):
+        voice = st.sampled_from(draw(st.lists(voice, min_size=1, max_size=2)))
+    return format_values(subject), draw(st.lists(voice, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canon_calls(), st.booleans())
+def test_canon_text_matches_every_event_written_again(call, machine):
+    subject_text, voices = call
+    argv = ["rhythm", "canon", *(f"--voice={v}" for v in voices), subject_text,
+            "--format", "machine" if machine else "human"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (0, _canon_writing_every_event(subject_text, voices, machine), "")
+
+
+@pytest.mark.parametrize("action", [["list"], ["analyze"], ["filter", "prime"]])
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_data_that_is_not_utf8_exits_2(cli, tmp_path, action, fmt):
+    (tmp_path / "talas.cat").write_bytes(b"1|a|b|2 1 2\n\xff|x|y|1\n")
+    code, out, err = cli("catalog", *action, "--data", str(tmp_path), "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"erreur de lecture: {tmp_path / 'talas.cat'}: not UTF-8 text (byte 12: invalid start byte)\n"
 
 
 @pytest.mark.parametrize("predicate", ["nonretro", "augchain", "interleave", "prime"])

@@ -46,16 +46,21 @@ ACTIONS = [
 # Modules a call must not load: the class machinery and annotation
 # support the package no longer uses.
 NEVER = {"dataclasses", "inspect", "typing", "pathlib"}
-# Actions that need neither exact rationals nor the rhythm and catalog modules.
-PITCH_AND_PERM = {("pcset", "classify"), ("pcset", "period"), ("pcset", "enumerate"), ("pcset", "truncated"),
-                  ("perm", "order"), ("perm", "cycles"), ("perm", "count")}
-# The other format of each pitch-class action, for the same check.
-PCSET_OTHER_FORMAT = [
-    ["pcset", "classify", "0 4 8", "--format", "machine"],
-    ["pcset", "period", "C D E F# G# Bb", "--format", "machine"],
+# Calls that need neither exact rationals nor the rhythm and catalog modules, in both formats: every
+# pcset action, and every perm action but `orbit --base`, whose base 1..n is a permutation's text.
+RATIONAL_FREE = [argv + fmt for argv in (
+    ["pcset", "classify", "0 4 8"],
+    ["pcset", "period", "C D E F# G# Bb"],
     ["pcset", "enumerate"],
-    ["pcset", "truncated", "0 1 6 7", "--format", "machine"],
-]
+    ["pcset", "truncated", "0 1 6 7"],
+    ["perm", "order", "--chronochromie"],
+    ["perm", "cycles", "3 1 2"],
+    ["perm", "count", "30"],
+    ["perm", "fan", "5"],
+    ["perm", "orbit", "2 3 1", "--cap", "3"],
+    ["perm", "orbit", "--chronochromie"],
+) for fmt in ([], ["--format", "machine"])]
+RATIONALS = {"fractions", "messiaen.rhythm", "messiaen.catalog"}
 
 LIST_MODULES = (
     "import contextlib, io, json, sys\n"
@@ -75,13 +80,15 @@ def _fresh(args):
 
 @pytest.fixture(scope="module")
 def fresh():
-    """Both fresh runs of every action, and a listing run of each other pcset format, three at a time."""
-    listed = ACTIONS + PCSET_OTHER_FORMAT
+    """Both fresh runs of every action, and a listing run of each other rational-free call, three at a time.
+
+    The listings are keyed by argv."""
+    listed = ACTIONS + [argv for argv in RATIONAL_FREE if argv not in ACTIONS]
     jobs = [["-m", "messiaen.cli", *argv] for argv in ACTIONS] + [["-c", LIST_MODULES, *argv] for argv in listed]
     with ThreadPoolExecutor(max_workers=3) as pool:
         procs = list(pool.map(_fresh, jobs))
     n = len(ACTIONS)
-    return dict(zip(IDS, procs[:n])), dict(zip(IDS, procs[n:2 * n])), procs[2 * n:]
+    return dict(zip(IDS, procs[:n])), {tuple(argv): proc for argv, proc in zip(listed, procs[n:])}
 
 
 def test_every_action_has_an_argv():
@@ -100,25 +107,22 @@ def test_fresh_interpreter_matches_in_process(argv, fresh, capsys):
 
 @pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
 def test_fresh_call_loads_only_what_its_action_uses(argv, fresh):
-    proc = fresh[1][" ".join(argv[:2])]
+    proc = fresh[1][tuple(argv)]
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert not loaded & NEVER
-    if tuple(argv[:2]) in PITCH_AND_PERM:
-        assert not loaded & {"fractions", "messiaen.rhythm", "messiaen.catalog"}
+    assert not set(json.loads(proc.stdout)) & NEVER
 
 
-def test_fresh_pcset_call_in_its_other_format_loads_no_rationals(fresh):
-    for argv, proc in zip(PCSET_OTHER_FORMAT, fresh[2]):
-        assert proc.returncode == 0, proc.stderr
-        assert not set(json.loads(proc.stdout)) & {"fractions", "messiaen.rhythm", "messiaen.catalog"}, argv
+def test_every_pcset_and_perm_action_is_checked_for_rationals_as_listed():
+    rational_free = {tuple(argv[:2]) for argv in RATIONAL_FREE}
+    assert rational_free == {tuple(argv[:2]) for argv in ACTIONS if argv[0] in ("pcset", "perm")}
+    assert all(argv in RATIONAL_FREE for argv in ACTIONS if tuple(argv[:2]) in rational_free)
 
 
-def test_fresh_human_fan_loads_no_rationals(fresh):
-    # its base 1..n is a permutation's text, and each row a reading of its words
-    proc = fresh[1]["perm fan"]
-    assert ACTIONS[IDS.index("perm fan")] == ["perm", "fan", "5"]
-    assert not set(json.loads(proc.stdout)) & {"fractions", "messiaen.rhythm"}
+@pytest.mark.parametrize("argv", RATIONAL_FREE, ids=[" ".join(argv) for argv in RATIONAL_FREE])
+def test_fresh_call_loads_no_rationals(argv, fresh):
+    proc = fresh[1][tuple(argv)]
+    assert proc.returncode == 0, proc.stderr
+    assert not set(json.loads(proc.stdout)) & RATIONALS
 
 
 def test_filter_choices_are_the_catalog_predicates():

@@ -22,11 +22,14 @@ The corpus:
   written differently (``1/2`` and ``2/4``), both formats;
 - ``rhythm canon`` at the event bound, in both formats, and one voice
   past it, in machine format only;
+- a small ``rhythm canon`` full of ties (equal voices, and onsets of
+  different voices that coincide), in both formats;
 - edge cases of the integer flags, of ``--unit``, and of results past
   the 4300-digit bound;
 - ``catalog`` actions on a catalog, written to a fixed directory under
   the system's temporary directory, whose first total is past the
-  primality bound;
+  primality bound, and on one, in a second fixed directory, whose bytes
+  are not UTF-8;
 - ``--help`` at the top, for every verb and for every action, and the
   bare call of the program and of every verb.
 
@@ -111,8 +114,9 @@ def _canon_argv() -> list[list[str]]:
     def canon(voices: int) -> list[str]:  # voices of 500 durations each
         return ["rhythm", "canon", *(f"--voice={i}:1" for i in range(voices)), " ".join(["1"] * 500)]
 
+    ties = ["rhythm", "canon", "--voice", "0:1", "--voice", "0:1", "--voice", "1:1/2", "--voice", "1/2:2", "1 1/2 1 2"]
     # 500 x 500 events is the bound. Past it, machine format only: a tree without the bound schedules it.
-    return [canon(500) + fmt for fmt in FORMATS] + [canon(501) + ["--format", "machine"]]
+    return [argv + fmt for argv in (canon(500), ties) for fmt in FORMATS] + [canon(501) + ["--format", "machine"]]
 
 
 def _edge_argv() -> list[list[str]]:
@@ -145,14 +149,21 @@ def _edge_argv() -> list[list[str]]:
 
 
 def _catalog_argv() -> list[list[str]]:
-    data = Path(tempfile.gettempdir(), "messiaen-golden-data")
-    data.mkdir(exist_ok=True)
+    def data_dir(name: str, talas: bytes) -> str:
+        data = Path(tempfile.gettempdir(), name)
+        data.mkdir(exist_ok=True)
+        (data / "talas.cat").write_bytes(talas)
+        return str(data)
+
     # 3317044064679887385962003 is past the primality bound and has no factor up to 41.
     lines = ["1|a|b|3317044064679887385962003", "2|c|d|2 1 2", "3|e|f|1 1 3/2", "4|g|h|2 1 3 2 1"]
-    (data / "talas.cat").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    data = data_dir("messiaen-golden-data", "".join(f"{line}\n" for line in lines).encode("utf-8"))
+    undecodable = data_dir("messiaen-golden-undecodable-data", b"1|a|b|2 1 2\n\xff|x|y|1\n")
     actions = [["catalog", "filter", p] for p in ("nonretro", "prime", "augchain", "interleave")]
     actions += [["catalog", "analyze"], ["catalog", "analyze", "--id", "2"], ["catalog", "list"]]
-    return [argv + ["--data", str(data)] + fmt for argv in actions for fmt in FORMATS]
+    return [argv + ["--data", data] + fmt for argv in actions for fmt in FORMATS] + [
+        argv + ["--data", undecodable] + fmt
+        for argv in (["catalog", "list"], ["catalog", "analyze"], ["catalog", "filter", "prime"]) for fmt in FORMATS]
 
 
 def _help_argv(actions) -> list[list[str]]:
