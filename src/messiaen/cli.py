@@ -32,7 +32,7 @@ def _rhythm_arg(args):
     from . import rhythm as rh
 
     r = rh.parse_rhythm(args.rhythm_text)
-    return rh.Rhythm(r.durations, args.unit) if args.unit and not r.unit else r
+    return rh.Rhythm._trusted(r.durations, args.unit) if args.unit and not r.unit else r
 
 
 def _rhythm_result(r, machine: bool, label: str) -> str:

@@ -1,10 +1,13 @@
+import pickle
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from messiaen import rhythm as rhythm_module
 
 from messiaen.errors import (
     MAX_DIGITS,
@@ -19,7 +22,11 @@ from messiaen.errors import (
 )
 from messiaen.rhythm import (
     AugmentationChain,
+    CanonSchedule,
     Rhythm,
+    Voice,
+    _shown,
+    as_fraction,
     augment,
     augmentation_kind,
     build_canon,
@@ -451,3 +458,184 @@ def test_is_prime_refuses_to_guess_above_its_bound():
         _is_prime(PRIME_BOUND)
     # a small factor still decides exactly
     assert _is_prime(PRIME_BOUND + 1) is False
+
+
+# --- the integer canon and sums against the Fraction code they replace -------
+
+
+def _canon_by_fraction_sort(subject, voices):
+    """build_canon as first written, Fraction prefix sums and a sort of Fraction triples: the reference."""
+    if not voices:
+        raise NoVoices("a canon needs at least one voice")
+    if len(voices) * len(subject) > rhythm_module.MAX_CANON_EVENTS:
+        raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations"
+                          f" exceeds {rhythm_module.MAX_CANON_EVENTS} events")
+    prefix = [F(0)]
+    for d in subject.durations:
+        prefix.append(prefix[-1] + d)
+    built = []
+    for delay_in, ratio_in in voices:
+        delay = as_fraction(delay_in)
+        ratio = as_fraction(ratio_in)
+        if delay < 0:
+            raise DomainError(f"voice delay must be nonnegative, got {_shown(delay)}")
+        if ratio <= 0:
+            raise BadRatio(f"voice ratio must be strictly positive, got {_shown(ratio)}")
+        onsets = tuple(delay + ratio * p for p in prefix[:-1])
+        built.append(Voice(delay, ratio, onsets, delay + ratio * prefix[-1]))
+    events = sorted(
+        (onset, v, voice.ratio * d)
+        for v, voice in enumerate(built)
+        for onset, d in zip(voice.onsets, subject.durations)
+    )
+    return CanonSchedule(subject, tuple(built), tuple(events))
+
+
+def _total_by_fraction_sum(r):
+    """total_duration as first written, a sum of Fractions: the reference."""
+    return sum(r.durations, F(0))
+
+
+_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+_SMALL = st.integers(1, 12)
+_WIDE = st.integers(1, 10**MAX_DIGITS - 1)  # up to 4300 digits, the most any reader accepts
+
+
+@st.composite
+def _subjects(draw):
+    kind = draw(st.sampled_from(("repeated", "coprime", "wide")))
+    size = draw(st.integers(1, 4 if kind == "wide" else 40))
+    if kind == "repeated":  # few distinct values: equal durations and coinciding onsets
+        durations = draw(st.lists(st.builds(F, _SMALL, st.integers(1, 6)), min_size=size, max_size=size))
+    elif kind == "coprime":  # pairwise coprime denominators
+        primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=size, max_size=size, unique=True))
+        durations = [F(draw(_SMALL), p) for p in primes]
+    else:
+        durations = draw(st.lists(st.builds(F, _SMALL | _WIDE, _SMALL | _WIDE), min_size=size, max_size=size))
+    return Rhythm(durations), kind
+
+
+@st.composite
+def _voice_lists(draw, wide):
+    part = (_SMALL | _WIDE) if wide else st.integers(1, 8)
+    delays = st.just(F(0)) | st.builds(F, st.integers(0, 8), st.integers(1, 6)) | st.builds(F, part, part)
+    ratios = st.just(F(1)) | st.builds(F, st.integers(1, 8), st.integers(1, 6)) | st.builds(F, part, part)
+    pool = draw(st.lists(st.tuples(delays, ratios), min_size=1, max_size=6))
+    voices = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))  # equal voices drawn again
+    # As the command line passes them, as text, or as Fractions.
+    return [draw(st.sampled_from(((d, q), (str(d), str(q))))) for d, q in voices]
+
+
+@st.composite
+def _canons(draw):
+    subject, kind = draw(_subjects())
+    return subject, draw(_voice_lists(kind == "wide"))
+
+
+def _assert_same_canon(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.subject is want.subject
+    assert got.events == want.events
+    assert [v._asdict() for v in got.voices] == [v._asdict() for v in want.voices]
+    assert type(got.voices) is tuple and type(got.events) is tuple
+    for v in got.voices:
+        assert type(v.onsets) is tuple
+        assert all(type(x) is F for x in (v.delay, v.ratio, v.end, *v.onsets))
+    for onset, voice, duration in got.events:
+        assert type(onset) is F and type(voice) is int and type(duration) is F
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canons())
+@example((rhythm([1, "1/2", 1, 2]), [(0, 1), (0, 1), (1, "1/2"), ("1/2", 2)]))
+@example((rhythm([2, 2]), [(0, 1), (1, "1/2")]))  # voices of different ratios meet at 2
+@example((rhythm([1]), [(0, 1)] * 6))
+@example((rhythm(["1/2", "1/3", "1/5", "1/7"]), [(0, 1), ("1/11", "2/13"), ("1/3", "1/2")]))
+def test_build_canon_matches_the_fraction_sort(case):
+    subject, voices = case
+    _assert_same_canon(build_canon(subject, voices), _canon_by_fraction_sort(subject, voices))
+
+
+_SIGNED = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    subject=_subjects().map(lambda s: s[0]),
+    voices=st.lists(st.tuples(_SIGNED, _SIGNED), max_size=5),
+    bound=st.sampled_from((rhythm_module.MAX_CANON_EVENTS, 12)),
+)
+def test_build_canon_refuses_as_the_fraction_sort_did(subject, voices, bound):
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rhythm_module, "MAX_CANON_EVENTS", bound)
+        for schedule in (build_canon, _canon_by_fraction_sort):
+            try:
+                outcomes.append(schedule(subject, voices))
+            except (NoVoices, DomainError, BadRatio) as exc:
+                outcomes.append((type(exc), str(exc)))
+    if isinstance(outcomes[1], CanonSchedule):
+        _assert_same_canon(*outcomes)
+    else:
+        assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subjects().map(lambda s: s[0]))
+@example(rhythm([F(1, p) for p in _PRIMES]))
+def test_total_duration_matches_the_fraction_sum(r):
+    total = total_duration(r)
+    assert total == _total_by_fraction_sum(r) and type(total) is F
+
+
+# --- transforms build rhythms without checking them again -------------------
+
+
+def _assert_built_as_checked(got, durations, unit):
+    want = Rhythm(tuple(durations), unit)
+    assert type(got) is Rhythm and type(got.durations) is tuple
+    assert all(type(d) is F for d in got.durations)
+    back = pickle.loads(pickle.dumps(got))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a product of two 4300-digit parts has a longer repr
+    try:
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+        assert back == want and repr(back) == repr(want)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    subject=_subjects().map(lambda s: s[0]),
+    wing=_subjects().map(lambda s: s[0]),
+    ratio=st.builds(F, _SMALL | _WIDE, _SMALL | _WIDE),
+    unit=st.sampled_from(("", "double croche")),
+    cut=st.integers(0, 20),
+)
+def test_transforms_and_parse_build_the_rhythm_the_checking_constructor_builds(subject, wing, ratio, unit, cut):
+    r = Rhythm(subject.durations, unit)
+    d, n = r.durations, len(r)
+    _assert_built_as_checked(retrograde(r), d[::-1], unit)
+    _assert_built_as_checked(augment(r, ratio), [x * ratio for x in d], unit)
+    _assert_built_as_checked(symmetric_amplification(r, wing), wing.durations + d + wing.durations[::-1], unit)
+    k = cut % ((n + 1) // 2)
+    _assert_built_as_checked(eliminate_extremes(r, k), d[k:n - k], unit)
+    if n % 2:
+        _assert_built_as_checked(scale_central(r, ratio), d[:n // 2] + (d[n // 2] * ratio,) + d[n // 2 + 1:], unit)
+    q = ratio if ratio != 1 else F(2)
+    chained = Rhythm(d + tuple(x * q for x in d), unit)
+    chain = detect_augmentation_chain(chained)
+    _assert_built_as_checked(chain.prefix, d[:len(chain.prefix)], unit)
+    _assert_built_as_checked(parse_rhythm(format_rhythm(r)), d, unit)
+
+
+def test_the_checking_constructor_still_refuses():
+    with pytest.raises(ValueError, match="^durations must be strictly positive, got 0$"):
+        Rhythm((0,))
+    with pytest.raises(ValueError, match="^durations must be strictly positive, got -1$"):
+        Rhythm((-1,))
+    with pytest.raises(ValueError, match="^a rhythm needs at least one duration$"):
+        Rhythm(())
+    with pytest.raises(TypeError):
+        Rhythm((F(1), 1.5))

@@ -23,7 +23,9 @@ The corpus:
 - ``rhythm canon`` at the event bound, in both formats, and one voice
   past it, in machine format only;
 - a small ``rhythm canon`` full of ties (equal voices, and onsets of
-  different voices that coincide), in both formats;
+  different voices that coincide), one whose delays and ratios have
+  denominators coprime to each other and to the subject's, and one whose
+  voices of different ratios meet on the same onsets, in both formats;
 - edge cases of the integer flags, of ``--unit``, and of results past
   the 4300-digit bound;
 - ``catalog`` actions on a catalog, written to a fixed directory under
@@ -115,8 +117,13 @@ def _canon_argv() -> list[list[str]]:
         return ["rhythm", "canon", *(f"--voice={i}:1" for i in range(voices)), " ".join(["1"] * 500)]
 
     ties = ["rhythm", "canon", "--voice", "0:1", "--voice", "0:1", "--voice", "1:1/2", "--voice", "1/2:2", "1 1/2 1 2"]
+    # Delays and ratios over denominators coprime to each other and to the subject's 1, 2, 3 and 13.
+    coprime = ["rhythm", "canon", "--voice", "0:1", "--voice", "1/3:2/7", "--voice", "2/9:5/11", "2 1/2 4/3 5/13 1 3/2 2/13"]
+    # Voices of different ratios meet at 0, 2 and 4.
+    meeting = ["rhythm", "canon", "--voice", "0:1", "--voice", "1:1/2", "--voice", "0:2", "2 2 1 1"]
     # 500 x 500 events is the bound. Past it, machine format only: a tree without the bound schedules it.
-    return [argv + fmt for argv in (canon(500), ties) for fmt in FORMATS] + [canon(501) + ["--format", "machine"]]
+    return [argv + fmt for argv in (canon(500), ties, coprime, meeting) for fmt in FORMATS] + [
+        canon(501) + ["--format", "machine"]]
 
 
 def _edge_argv() -> list[list[str]]:
