@@ -29,6 +29,7 @@ from .rhythm import (
     InterleaveProfile,
     Rhythm,
     SequenceShape,
+    _is_prime,
     detect_augmentation_chain,
     format_rhythm,
     format_values,
@@ -180,12 +181,13 @@ def _interleave_or_none(r: Rhythm) -> InterleaveProfile | None:
 
 
 def analyze_rhythm(r: Rhythm, entry_id: int | None = None) -> AnalysisReport:
-    """Run the full battery of rhythm analyses on one duration sequence."""
+    """Run the full battery of rhythm analyses on one duration sequence, summing it once."""
+    total = total_duration(r)
     return AnalysisReport(
         entry_id=entry_id,
         non_retrogradable=is_non_retrogradable(r),
-        total=total_duration(r),
-        prime_total=_prime_or_none(r),
+        total=total,
+        prime_total=_is_prime(total.numerator) if total.denominator == 1 else None,
         augmentation_chain=detect_augmentation_chain(r),
         interleave=_interleave_or_none(r),
     )

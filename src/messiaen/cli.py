@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DomainError, ParseError, oui
+from .errors import DomainError, ParseError, digit_bound, oui
 
 MACHINE = "machine"
 # The names of catalog.PREDICATES, for the parser of `catalog filter`.
@@ -24,8 +24,6 @@ PREDICATES = ("augchain", "interleave", "nonretro", "prime")
 # `perm count` prints n! in full up to this n (77 338 digits), so that
 # the conversion to decimal text stays well under a second.
 COUNT_MAX = 20_000
-_CHUNK_DIGITS = 4000
-_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _rhythm_arg(args):
@@ -60,12 +58,10 @@ def _int_flag(text: str) -> int:
 
 
 def _decimal(n: int) -> str:
-    """Decimal text of a nonnegative int of any size, converted in chunks
-    shorter than the interpreter's int-to-str limit."""
-    if n < _CHUNK:
-        return str(n)
-    high, low = divmod(n, _CHUNK)
-    return _decimal(high) + str(low).zfill(_CHUNK_DIGITS)
+    """Decimal text of a nonnegative int of any size, converted in chunks of ``digit_bound()`` digits."""
+    digits = digit_bound()
+    high, low = divmod(n, 10**digits)
+    return _decimal(high) + str(low).zfill(digits) if high else str(low)
 
 
 # --- rhythm ----------------------------------------------------------------

@@ -5,8 +5,9 @@ exit code 2) and `DomainError` (well-formed input outside an operation's
 domain, CLI exit code 3).
 """
 
-# Longest digit string read as an integer: the interpreter's default
-# limit on str-to-int conversion.
+import sys
+
+# Most digits of an integer read or written as text: the interpreter's default int-to-str limit.
 MAX_DIGITS = 4300
 
 
@@ -24,18 +25,26 @@ class ParseError(MessiaenError):
         self.line = line
 
 
+def digit_bound() -> int:
+    """Most digits of an integer read or written as text: ``MAX_DIGITS``, or the interpreter's lower limit."""
+    return min(sys.get_int_max_str_digits() or MAX_DIGITS, MAX_DIGITS)
+
+
 def ascii_int(token: str, line: int | None = None) -> int | None:
     """Value of a token of ASCII digits 0-9, or None for any other token.
 
     ``str.isdigit`` and ``int`` also accept other Unicode digits (``²``,
     ``١``); every text format here is ASCII-only.  A digit token longer
-    than ``MAX_DIGITS`` is a ParseError.
+    than ``digit_bound()`` is a ParseError.
     """
     if not (token.isascii() and token.isdigit()):
         return None
-    if len(token) > MAX_DIGITS:
-        raise ParseError(f"integer of {len(token)} digits, more than {MAX_DIGITS}", line)
-    return int(token)
+    try:
+        if len(token) <= MAX_DIGITS:
+            return int(token)
+    except ValueError:  # past a lower int-to-str limit set in the interpreter
+        pass
+    raise ParseError(f"integer of {len(token)} digits, more than {digit_bound()}", line)
 
 
 def oui(flag: bool) -> str:

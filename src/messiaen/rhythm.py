@@ -14,7 +14,6 @@ non-retrogradability) are exact rational comparisons.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .errors import (
     TooShort,
     UnitMismatch,
     ascii_int,
+    digit_bound,
 )
 
 # Deterministic Miller-Rabin: with the first 13 primes as bases the test
@@ -425,23 +425,21 @@ def format_values(values: Iterable[int | str | Fraction]) -> str:
     """The one writer of exact values: ``n`` or ``n/d`` separated by single
     spaces, each read back by :func:`as_fraction`.
 
-    A value whose numerator or denominator has more than ``MAX_DIGITS``
-    digits, which no reader here accepts, is a DomainError; so is one
-    past a lower int-to-str limit set in the interpreter.
+    A value whose numerator or denominator has more than ``digit_bound()``
+    digits, which no reader here accepts, is a DomainError.
 
     >>> format_values([Fraction(3, 2), 2])
     '3/2 2'
     """
     try:
-        text = " ".join(map(str, values))
+        text = " ".join(words := list(map(str, values)))
+        # Only a text longer than the bound can hold a part longer than it, and only in a word as long.
+        if len(text) <= MAX_DIGITS or all(len(part) <= MAX_DIGITS for word in words if len(word) > MAX_DIGITS
+                                          for part in word.lstrip("-").split("/")):
+            return text
     except ValueError:  # past the interpreter's int-to-str limit, which may be lower
-        text = None
-    # Only a text longer than the bound can hold a part longer than it.
-    if text is None or (len(text) > MAX_DIGITS
-                        and max(map(len, text.replace("/", " ").replace("-", " ").split())) > MAX_DIGITS):
-        bound = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
-        raise DomainError(f"a numerator or denominator has more than {bound} digits")
-    return text
+        pass
+    raise DomainError(f"a numerator or denominator has more than {digit_bound()} digits")
 
 
 def _shown(value: int | str | Fraction) -> str:

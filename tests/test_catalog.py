@@ -1,12 +1,14 @@
 import io
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from messiaen import z12
+from messiaen import catalog, z12
+from messiaen import rhythm as rh
 from messiaen.catalog import (
     AnalysisReport,
     PREDICATES,
@@ -186,6 +188,29 @@ def test_analyze_single_duration_rhythm():
     assert report.interleave is None
     assert report.non_retrogradable is True
     assert report.prime_total is True
+
+
+def test_analyze_rhythm_sums_each_rhythm_once():
+    rhythms = [e.rhythm for e in seed_talas() + seed_quatuor()] + [rhythm(d) for d in ([5], [1], ["1/3", "2/3"], ["1/2"])]
+    expected = [AnalysisReport(None, is_non_retrogradable(r), total_duration(r),
+                               is_prime_total(r) if total_duration(r).denominator == 1 else None,
+                               detect_augmentation_chain(r), interleave_profile(r) if len(r) >= 2 else None)
+                for r in rhythms]
+    summed = []
+
+    def counted(r):
+        summed.append(r)
+        return total_duration(r)
+
+    with mock.patch.object(catalog, "total_duration", counted), mock.patch.object(rh, "total_duration", counted):
+        assert [analyze_rhythm(r) for r in rhythms] == expected
+        assert summed == rhythms
+        past_the_bound = rhythm(["3317044064679887385962003"])
+        with pytest.raises(DomainError) as by_analysis:
+            analyze_rhythm(past_the_bound)
+    with pytest.raises(DomainError) as by_total:
+        is_prime_total(past_the_bound)
+    assert str(by_analysis.value) == str(by_total.value)
 
 
 def test_filter_catalog():

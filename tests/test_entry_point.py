@@ -74,8 +74,8 @@ LIST_MODULES = (
 IDS = [" ".join(argv[:2]) for argv in ACTIONS]
 
 
-def _fresh(args):
-    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=ENV, timeout=60)
+def _fresh(args, env=ENV):
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=env, timeout=60)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +127,13 @@ def test_fresh_call_loads_no_rationals(argv, fresh):
 
 def test_filter_choices_are_the_catalog_predicates():
     assert list(cli.PREDICATES) == sorted(catalog.PREDICATES)
+
+
+def test_a_fresh_call_under_the_lowest_int_to_str_limit(capsys):
+    env = {**ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+    count = _fresh(["-m", "messiaen.cli", "perm", "count", "2000"], env)
+    assert cli.run(["perm", "count", "2000"]) == 0
+    assert (count.returncode, count.stdout.decode("utf-8"), count.stderr) == (0, capsys.readouterr().out, b"")
+    refused = _fresh(["-m", "messiaen.cli", "pcset", "classify", "1" * 641], env)
+    assert (refused.returncode, refused.stdout) == (2, b"")
+    assert refused.stderr.decode("utf-8") == "erreur de lecture: integer of 641 digits, more than 640\n"

@@ -3,8 +3,10 @@
 ``record`` runs ``messiaen.cli.run`` in process on a fixed corpus of argv
 and writes, per argv, the exit code, a SHA-256 digest of stdout and the
 stderr text (an exception that escapes ``run`` is recorded by its type
-and first line).  ``diff`` compares two recordings of the same corpus and
-prints the argv that differ, grouped by verb and action.
+and first line).  ``diff`` compares two recordings of the same corpus,
+prints the argv that differ, grouped by verb and action, and counts the
+argv of the second recording that ended in an exception or in an exit
+code other than 0, 2 or 3; it returns 1 when any argv differs or fails.
 
 The corpus:
 
@@ -41,6 +43,14 @@ compare a change with its parent, record once with each tree's ``src``::
     PYTHONPATH=../parent/src python3 tools/golden.py record parent.jsonl
     PYTHONPATH=src python3 tools/golden.py record change.jsonl
     python3 tools/golden.py diff parent.jsonl change.jsonl
+
+Under the lowest int-to-str limit the interpreter allows, 640 digits,
+every argv must still end in exit 0, 2 or 3.  Record both trees under it
+too; the failure count that ``diff`` prints is the change's::
+
+    PYTHONINTMAXSTRDIGITS=640 PYTHONPATH=../parent/src python3 tools/golden.py record parent-640.jsonl
+    PYTHONINTMAXSTRDIGITS=640 PYTHONPATH=src python3 tools/golden.py record change-640.jsonl
+    python3 tools/golden.py diff parent-640.jsonl change-640.jsonl
 
 Standard library only.
 """
@@ -241,7 +251,9 @@ def diff(before_path: str, after_path: str) -> int:
             change = f"exit {b['code']} -> {a['code']}" if b["code"] != a["code"] else f"same exit, {part} differs"
             groups[" ".join(a["argv"][:2]), change].append((b, a))
     differing = sum(map(len, groups.values()))
+    failed = sum(a["code"] not in (0, 2, 3) for a in after)
     print(f"{len(before)} argv compared, {len(before) - differing} identical, {differing} differ")
+    print(f"{failed} argv of {after_path} end in an exception or an exit code other than 0, 2 or 3")
     for (action, change), pairs in sorted(groups.items()):
         print(f"\n{action}: {change} ({len(pairs)} argv)")
         for b, a in pairs[:EXAMPLES]:
@@ -249,7 +261,7 @@ def diff(before_path: str, after_path: str) -> int:
             if b["stderr"] != a["stderr"]:
                 print(f"    stderr before: {b['stderr'][:120]!r}")
                 print(f"    stderr after:  {a['stderr'][:120]!r}")
-    return 1 if differing else 0
+    return 1 if differing or failed else 0
 
 
 def main() -> int:
