@@ -7,12 +7,14 @@ structured reports.  Exit codes: 0 success, 2 parse error, 3 domain
 error.
 
 Each handler imports the modules it uses, so that one call loads only
-what its action needs.
+what its action needs.  The command line is described once, in ``SPEC``:
+``read_argv`` reads a well-formed argv from it without argparse, and the
+argparse parser that ``build_parser`` builds from it reads every other
+argv and writes every help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .errors import DomainError, ParseError, digit_bound, oui
@@ -51,9 +53,13 @@ def _lines(lines) -> str:
 
 def _int_flag(text: str) -> int:
     """``type=int`` of every flag: ``int`` of ASCII text, so ``+5``, ``-1`` and
-    ``1_0`` read; a non-ASCII digit such as ``١`` is a ParseError (exit 2)."""
+    ``1_0`` read; a non-ASCII digit such as ``١`` is a ParseError (exit 2), and
+    so is text of more than ``digit_bound()`` digits, under any int-to-str limit."""
     if not text.isascii():
         raise ParseError(f"not an ASCII integer: {text!r}")
+    bound = digit_bound()
+    if len(text) > bound and (digits := sum(map(str.isdigit, text))) > bound:
+        raise ParseError(f"integer of {digits} digits, more than {bound}")
     return int(text)
 
 
@@ -329,110 +335,172 @@ def _cmd_catalog_filter(args, machine: bool) -> str:
     return _lines(f"{e.id}: {rh.format_rhythm(e.rhythm)}" for e in entries)
 
 
-# --- parser ----------------------------------------------------------------
+# --- the command line, once ------------------------------------------------
+
+
+def _arg(name: str, kind: str = "option", **keywords) -> tuple:
+    """One argument of the spec.  Its kind is "positional" (required, or with
+    ``nargs="?"`` optional), "option" (``--name VALUE``), "flag" (``--name``, True
+    when given) or "append" (``--name VALUE``, repeatable); its keywords are
+    argparse's: choices, default, required, type, nargs, metavar and help."""
+    return name, kind, keywords
+
+
+FORMAT = _arg("--format", choices=("human", MACHINE), default="human", help="human (default) or machine-readable output")
+RHYTHM_IN = (FORMAT, _arg("--unit", default="", help="unit label for rhythms given without @unit="),
+             _arg("rhythm_text", "positional", metavar="RHYTHM", help="durations, e.g. '2 1 2' or '1 1 3/2'"))
+PCSET_IN = (FORMAT, _arg("pcset_text", "positional", metavar="PCSET", help="e.g. '0 1 3 4' or 'C C# Eb E'"))
+PERM_IN = (FORMAT, _arg("perm_text", "positional", nargs="?", metavar="PERM", help="1-based images, e.g. '2 1 3'"),
+           _arg("--chronochromie", "flag", help="use the 32-duration interversion"))
+SIZE = _arg("size", "positional", type=int, metavar="N")
+
+
+def _catalog_in(*extra, which=("talas", "quatuor")) -> tuple:
+    return (FORMAT, _arg("--which", choices=which, default="talas", help="catalog to use"),
+            _arg("--data", metavar="DIR", help="directory overriding the shipped data files"), *extra)
+
+
+# Each verb's help and actions; each action's help and arguments.  The handler of
+# an action is the module's function ``_cmd_<verb>_<action>``.
+SPEC = {
+    "rhythm": ("duration-sequence operations", {
+        "analyze": ("palindrome, total, primality, chains", RHYTHM_IN),
+        "retrograde": ("read the durations backwards", RHYTHM_IN),
+        "augment": ("multiply all durations by a ratio",
+                    (*RHYTHM_IN, _arg("--ratio", required=True, help="positive rational, e.g. 2 or 3/2"))),
+        "amplify": ("wing + core + retrograde of wing",
+                    (*RHYTHM_IN, _arg("--wing", required=True, metavar="RHYTHM", help="wing durations"))),
+        "eliminate": ("strip k durations from each end",
+                      (*RHYTHM_IN, _arg("--count", type=int, required=True, metavar="K"))),
+        "central": ("scale the middle duration", (*RHYTHM_IN, _arg("--ratio", required=True, help="positive rational"))),
+        "canon": ("onset schedule for delayed/scaled voices",
+                  (*RHYTHM_IN, _arg("--voice", "append", default=[], metavar="DELAY:RATIO",
+                                    help="one voice, e.g. 0:1 or 1:3/2 (repeatable)"))),
+    }),
+    "pcset": ("pitch-class set operations", {
+        "classify": ("identify a catalogued mode and transposition", PCSET_IN),
+        "period": ("minimal translation period", PCSET_IN),
+        "enumerate": ("all limited-transposition subsets", (FORMAT,)),
+        "truncated": ("limited transposition but not a catalogued mode", PCSET_IN),
+    }),
+    "perm": ("permutation operations", {
+        "order": ("smallest power returning the identity", PERM_IN),
+        "cycles": ("disjoint cycle decomposition", PERM_IN),
+        "fan": ("center-outward reading of n objects",
+                (FORMAT, SIZE, _arg("--direction", choices=("left", "right"), default="left"))),
+        "orbit": ("iterate on a duration scale until it returns", (
+            *PERM_IN, _arg("--base", metavar="RHYTHM", help="base sequence (default: chromatic durations 1..n)"),
+            _arg("--cap", type=int, help="iteration hard cap"))),
+        "count": ("number of permutations of n objects", (FORMAT, SIZE)),
+    }),
+    "catalog": ("seed-data catalogs and reports", {
+        "list": ("list entries", _catalog_in(which=("talas", "quatuor", "modes"))),
+        "analyze": ("per-entry analysis reports", _catalog_in(_arg("--id", type=int, help="restrict to one entry id"))),
+        "filter": ("entries whose report satisfies a predicate", _catalog_in(
+            _arg("predicate", "positional", choices=PREDICATES, metavar="PREDICATE", help=", ".join(PREDICATES)))),
+    }),
+}
+_parser = None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+    """The argparse parser of ``SPEC``, built once per process.  It reads every
+    argv that ``read_argv`` leaves, and writes every help, usage and error text."""
+    global _parser
+    if _parser is None:
+        import argparse
 
-    formatted = shared()
-    formatted.add_argument(
-        "--format",
-        choices=("human", MACHINE),
-        default="human",
-        help="human (default) or machine-readable output",
-    )
-    rhythm_in = shared(formatted)
-    rhythm_in.add_argument("--unit", default="", help="unit label for rhythms given without @unit=")
-    rhythm_in.add_argument("rhythm_text", metavar="RHYTHM", help="durations, e.g. '2 1 2' or '1 1 3/2'")
-    pcset_in = shared(formatted)
-    pcset_in.add_argument("pcset_text", metavar="PCSET", help="e.g. '0 1 3 4' or 'C C# Eb E'")
-    perm_in = shared(formatted)
-    perm_in.add_argument("perm_text", nargs="?", metavar="PERM", help="1-based images, e.g. '2 1 3'")
-    perm_in.add_argument("--chronochromie", action="store_true", help="use the 32-duration interversion")
+        _parser = argparse.ArgumentParser(
+            prog="messiaen",
+            description="Non-retrogradable rhythms, modes of limited transposition, symmetric permutations.",
+        )
+        verbs = _parser.add_subparsers(dest="verb", required=True)
+        for verb, (verb_help, actions) in SPEC.items():
+            subs = verbs.add_parser(verb, help=verb_help).add_subparsers(dest="action", required=True)
+            for action, (help_, arguments) in actions.items():
+                sub = subs.add_parser(action, help=help_)
+                sub.set_defaults(func=globals()[f"_cmd_{verb}_{action}"])
+                sub.register("type", int, _int_flag)
+                for name, kind, keywords in arguments:
+                    sub.add_argument(name, action={"flag": "store_true", "append": "append"}.get(kind), **keywords)
+    return _parser
 
-    parser = argparse.ArgumentParser(
-        prog="messiaen",
-        description="Non-retrogradable rhythms, modes of limited transposition, symmetric permutations.",
-    )
-    verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, help_: str, default_parent: argparse.ArgumentParser):
-        actions = verbs.add_parser(name, help=help_).add_subparsers(dest="action", required=True)
+class _Args:
+    """The namespace that argparse gives, built without it."""
 
-        def action(name: str, func, help_: str, parent=default_parent) -> argparse.ArgumentParser:
-            sub = actions.add_parser(name, help=help_, parents=[parent])
-            sub.set_defaults(func=func)
-            sub.register("type", int, _int_flag)
-            return sub
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
-        return action
 
-    rhythm = verb("rhythm", "duration-sequence operations", rhythm_in)
-    rhythm("analyze", _cmd_rhythm_analyze, "palindrome, total, primality, chains")
-    rhythm("retrograde", _cmd_rhythm_retrograde, "read the durations backwards")
-    aug = rhythm("augment", _cmd_rhythm_augment, "multiply all durations by a ratio")
-    aug.add_argument("--ratio", required=True, help="positive rational, e.g. 2 or 3/2")
-    amp = rhythm("amplify", _cmd_rhythm_amplify, "wing + core + retrograde of wing")
-    amp.add_argument("--wing", required=True, metavar="RHYTHM", help="wing durations")
-    eli = rhythm("eliminate", _cmd_rhythm_eliminate, "strip k durations from each end")
-    eli.add_argument("--count", type=int, required=True, metavar="K")
-    cen = rhythm("central", _cmd_rhythm_central, "scale the middle duration")
-    cen.add_argument("--ratio", required=True, help="positive rational")
-    can = rhythm("canon", _cmd_rhythm_canon, "onset schedule for delayed/scaled voices")
-    can.add_argument(
-        "--voice",
-        action="append",
-        default=[],
-        metavar="DELAY:RATIO",
-        help="one voice, e.g. 0:1 or 1:3/2 (repeatable)",
-    )
+def _value(keywords: dict, text: str):
+    """An argument's value read from its text, or None where argparse could say otherwise."""
+    choices = keywords.get("choices")
+    if text.startswith("-") or (choices and text not in choices):
+        return None
+    if keywords.get("type") is not int:
+        return text
+    try:
+        return _int_flag(text)
+    except (ValueError, ParseError):
+        return None
 
-    pcset = verb("pcset", "pitch-class set operations", pcset_in)
-    pcset("classify", _cmd_pcset_classify, "identify a catalogued mode and transposition")
-    pcset("period", _cmd_pcset_period, "minimal translation period")
-    pcset("enumerate", _cmd_pcset_enumerate, "all limited-transposition subsets", formatted)
-    pcset("truncated", _cmd_pcset_truncated, "limited transposition but not a catalogued mode")
 
-    perm = verb("perm", "permutation operations", perm_in)
-    perm("order", _cmd_perm_order, "smallest power returning the identity")
-    perm("cycles", _cmd_perm_cycles, "disjoint cycle decomposition")
-    fan_sub = perm("fan", _cmd_perm_fan, "center-outward reading of n objects", formatted)
-    fan_sub.add_argument("size", type=int, metavar="N")
-    fan_sub.add_argument("--direction", choices=("left", "right"), default="left")
-    orbit = perm("orbit", _cmd_perm_orbit, "iterate on a duration scale until it returns")
-    orbit.add_argument("--base", metavar="RHYTHM", help="base sequence (default: chromatic durations 1..n)")
-    orbit.add_argument("--cap", type=int, help="iteration hard cap")
-    count = perm("count", _cmd_perm_count, "number of permutations of n objects", formatted)
-    count.add_argument("size", type=int, metavar="N")
+def read_argv(argv: list[str]) -> _Args | None:
+    """The namespace of ``build_parser().parse_args(argv)``, read from ``SPEC``
+    without argparse; None for any argv whose namespace it cannot be sure of.
 
-    catalog = verb("catalog", "seed-data catalogs and reports", formatted)
-
-    def catalog_action(name: str, func, help_: str, which_choices=("talas", "quatuor")):
-        sub = catalog(name, func, help_)
-        sub.add_argument("--which", choices=which_choices, default="talas", help="catalog to use")
-        sub.add_argument("--data", metavar="DIR", help="directory overriding the shipped data files")
-        return sub
-
-    catalog_action("list", _cmd_catalog_list, "list entries", ("talas", "quatuor", "modes"))
-    ana = catalog_action("analyze", _cmd_catalog_analyze, "per-entry analysis reports")
-    ana.add_argument("--id", type=int, help="restrict to one entry id")
-    fil = catalog_action("filter", _cmd_catalog_filter, "entries whose report satisfies a predicate")
-    fil.add_argument("predicate", choices=PREDICATES, metavar="PREDICATE", help=", ".join(PREDICATES))
-    return parser
+    It reads the verb and the action first, then exact long option names, each
+    as ``--name VALUE`` or ``--name=VALUE``; no ``-h``, no ``--``, no value or
+    positional that starts with ``-``, no option but an append one given twice,
+    every required argument present and every choice and integer valid.
+    """
+    if len(argv) < 2 or argv[1] not in SPEC.get(argv[0], ("", {}))[1]:
+        return None
+    verb, action, *tokens = argv
+    values = {"verb": verb, "action": action, "func": globals()[f"_cmd_{verb}_{action}"]}
+    arguments, positionals, required, given = {}, [], set(), set()
+    for name, kind, keywords in SPEC[verb][1][action][1]:
+        arguments[name] = kind, keywords
+        values[name.removeprefix("--")] = False if kind == "flag" else keywords.get("default")
+        if keywords.get("required", kind == "positional" and keywords.get("nargs") != "?"):
+            required.add(name)
+        if kind == "positional":
+            positionals.append(name)
+    positionals, tokens = iter(positionals), iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+        else:
+            name, eq, text = next(positionals, None), "", token
+        kind, keywords = arguments.get(name, (None, None))
+        if kind is None or (name in given and kind != "append") or (kind == "flag" and eq):
+            return None
+        given.add(name)
+        if kind in ("option", "append") and not eq:
+            text = next(tokens, "-")  # "-": the option ends argv
+        value = True if kind == "flag" else _value(keywords, text)
+        if value is None:
+            return None
+        dest = name.removeprefix("--")
+        values[dest] = values[dest] + [value] if kind == "append" else value
+    return _Args(values) if required <= given else None
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
+    ``read_argv`` reads a well-formed argv; argparse reads every other one.
+    The handler is the module's function of that name at the time of the
+    call, so that a wrapper put on it after the parser was built runs.
+
     The only writer of stdout: a handler returns its output text, and
     the text is printed only once the handler has succeeded.
     """
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        text = args.func(args, args.format == MACHINE)
+        args = read_argv(argv) or build_parser().parse_args(argv)
+        text = globals()[args.func.__name__](args, args.format == MACHINE)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ParseError, OSError) as exc:

@@ -89,6 +89,21 @@ def test_integer_flags_past_the_bound_exit_2_or_3(limit):
             assert code in (2, 3) and out == "", argv
 
 
+@pytest.mark.parametrize("limit", LIMITS + (MAX_DIGITS,))
+@pytest.mark.parametrize("digits", [641, 4300, 4301])
+def test_every_integer_flag_refuses_a_token_past_the_bound_with_one_line_naming_it(limit, digits):
+    with int_limit(limit):
+        bound = digit_bound()
+        for token in ("9" * digits, f"+{'9' * digits}", f" {'1_' * (digits - 1)}1 "):
+            for argv in (["perm", "count", token], ["perm", "fan", token], ["rhythm", "eliminate", "--count", token, "1"],
+                         ["perm", "orbit", "2 1", "--cap", token], ["catalog", "analyze", "--id", token]):
+                code, out, err = call(argv)
+                if digits > bound:
+                    assert (code, out, err) == (2, "", f"erreur de lecture: integer of {digits} digits, more than {bound}\n")
+                else:
+                    assert code in (0, 2, 3) and err.count("\n") == (code != 0), argv
+
+
 @pytest.mark.parametrize("size", [2000, COUNT_MAX])
 def test_perm_count_prints_the_same_bytes_under_any_limit(size):
     expected = [call(["perm", "count", str(size), "--format", fmt]) for fmt in ("human", "machine")]

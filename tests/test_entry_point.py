@@ -62,13 +62,18 @@ RATIONAL_FREE = [argv + fmt for argv in (
 ) for fmt in ([], ["--format", "machine"])]
 RATIONALS = {"fractions", "messiaen.rhythm", "messiaen.catalog"}
 
+# The modules are listed before the listing imports json, which loads re.
 LIST_MODULES = (
-    "import contextlib, io, json, sys\n"
+    "import io, sys\n"
     "from messiaen import cli\n"
-    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-    "    cli.run(sys.argv[1:])\n"
-    "print(json.dumps(sorted(sys.modules)))\n"
+    "out, err, sys.stdout, sys.stderr = sys.stdout, sys.stderr, io.StringIO(), io.StringIO()\n"
+    "cli.run(sys.argv[1:])\n"
+    "loaded, sys.stdout, sys.stderr = sorted(sys.modules), out, err\n"
+    "import json\n"
+    "print(json.dumps(loaded))\n"
 )
+# What argparse and the first build of its parser load: a well-formed argv is read without them.
+ARGPARSE = {"argparse", "shutil", "gettext", "locale"}
 
 
 IDS = [" ".join(argv[:2]) for argv in ACTIONS]
@@ -110,6 +115,17 @@ def test_fresh_call_loads_only_what_its_action_uses(argv, fresh):
     proc = fresh[1][tuple(argv)]
     assert proc.returncode == 0, proc.stderr
     assert not set(json.loads(proc.stdout)) & NEVER
+
+
+@pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
+def test_fresh_call_of_a_well_formed_argv_loads_no_argparse(argv, fresh):
+    proc = fresh[1][tuple(argv)]
+    assert proc.returncode == 0, proc.stderr
+    assert not set(json.loads(proc.stdout)) & ARGPARSE
+
+
+def test_fresh_human_pcset_classify_loads_no_regular_expressions(fresh):
+    assert "re" not in json.loads(fresh[1][("pcset", "classify", "0 4 8")].stdout)
 
 
 def test_every_pcset_and_perm_action_is_checked_for_rationals_as_listed():

@@ -7,6 +7,15 @@ and first line).  ``diff`` compares two recordings of the same corpus,
 prints the argv that differ, grouped by verb and action, and counts the
 argv of the second recording that ended in an exception or in an exit
 code other than 0, 2 or 3; it returns 1 when any argv differs or fails.
+``digest`` records the corpus in process and writes, per group of argv,
+the count and two SHA-256 digests of the outcome lines: one over every
+line, and one without argparse's text (stderr, and the stdout of argv
+that ask for ``--help``), which changes between Python minor versions.
+``tests/golden.txt`` is that file, and ``tests/test_golden.py`` records
+the corpus again and compares it group by group; a change that alters
+output on purpose writes the file again::
+
+    PYTHONPATH=src python3 tools/golden.py digest tests/golden.txt
 
 The corpus:
 
@@ -219,15 +228,61 @@ def _outcome(run, argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": digest, "stderr": err.getvalue()}
 
 
-def record(path: str) -> None:
+def outcomes() -> list[dict]:
+    """The outcome of every argv of the corpus, in order."""
     os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
     from messiaen.cli import run
 
-    argvs = corpus()
+    return [_outcome(run, argv) for argv in corpus()]
+
+
+def _line(outcome: dict) -> str:
+    return json.dumps(outcome, ensure_ascii=False) + "\n"
+
+
+def record(path: str) -> None:
+    recorded = outcomes()
     with open(path, "w", encoding="utf-8") as f:
-        for argv in argvs:
-            f.write(json.dumps(_outcome(run, argv), ensure_ascii=False) + "\n")
-    print(f"{len(argvs)} argv recorded in {path}")
+        f.writelines(map(_line, recorded))
+    print(f"{len(recorded)} argv recorded in {path}")
+
+
+def digests(recorded: list[dict]) -> dict[str, tuple[int, str, str]]:
+    """Per group of argv (its first two words, as JSON), in corpus order: the
+    count, the SHA-256 of the outcome lines, and that of the lines without
+    stderr and without the stdout of argv that ask for ``--help``.  The
+    temporary directory of the catalog argv is written ``$TMPDIR``."""
+    tmp = tempfile.gettempdir()
+    groups = {}
+    for outcome in recorded:
+        argv = outcome["argv"]
+        quiet = {"argv": argv, "code": outcome["code"], "stdout": None if "--help" in argv else outcome["stdout"]}
+        entry = groups.setdefault(json.dumps(argv[:2], ensure_ascii=False), [0, hashlib.sha256(), hashlib.sha256()])
+        entry[0] += 1
+        for sha, line in zip(entry[1:], (_line(outcome), _line(quiet))):
+            sha.update(line.replace(tmp, "$TMPDIR").encode("utf-8", "surrogatepass"))
+    return {group: (n, full.hexdigest(), plain.hexdigest()) for group, (n, full, plain) in groups.items()}
+
+
+def write_digest(path: str) -> None:
+    recorded = outcomes()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("# Golden outcomes of the command line, written by `python3 tools/golden.py digest`.\n"
+                "# Per group of argv: count, SHA-256 of the outcome lines, SHA-256 without argparse's text.\n")
+        f.write(f"corpus {len(recorded)} COLUMNS=80 python {sys.version_info.major}.{sys.version_info.minor}\n")
+        for group, (n, full, plain) in sorted(digests(recorded).items()):
+            f.write(f"{n} {full} {plain} {group}\n")
+    print(f"{len(recorded)} argv digested in {path}")
+
+
+def read_digest(path) -> tuple[str, dict[str, tuple[int, str, str]]]:
+    """The header and the groups of a digest file."""
+    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+    groups = {}
+    for line in lines[1:]:
+        n, full, plain, group = line.split(" ", 3)
+        groups[group] = (int(n), full, plain)
+    return lines[0], groups
 
 
 def _short(argv: list[str]) -> str:
@@ -272,9 +327,11 @@ def main() -> int:
     cmp_ = commands.add_parser("diff", help="compare two recordings of the corpus")
     cmp_.add_argument("before")
     cmp_.add_argument("after")
+    dig = commands.add_parser("digest", help="run the corpus and write the digest of each group of argv")
+    dig.add_argument("out")
     args = parser.parse_args()
-    if args.command == "record":
-        record(args.out)
+    if args.command in ("record", "digest"):
+        (record if args.command == "record" else write_digest)(args.out)
         return 0
     return diff(args.before, args.after)
 
