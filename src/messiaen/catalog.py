@@ -12,7 +12,8 @@ Catalog files are line-oriented UTF-8, one entry per line:
 
 with ``#`` comment lines and blank lines ignored.  The durations cell
 uses the rhythm text format (so it may carry ``@unit=<label>``);
-``modes.cat`` uses the pitch-class text format in that cell instead.
+``modes.cat`` uses the pitch-class text format in that cell instead, and
+its lines have no source-note cell.
 Serialization refuses, with a DomainError, any entry that would not load
 back equal (a field holding ``|`` or a line break, for one).
 """
@@ -43,21 +44,15 @@ from .rhythm import (
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-class TalaEntry(namedtuple("TalaEntry", "id name gloss rhythm source_note", defaults=("",))):
-    """One catalog record: a numbered rhythm with its name and gloss."""
-
-    __slots__ = ()
-
-
-class ModeEntry(namedtuple("ModeEntry", "number name gloss members")):
-    """One catalogued mode: number, name, gloss, members (a z12 pitch-class set)."""
-
-    __slots__ = ()
+TalaEntry = namedtuple("TalaEntry", "id name gloss rhythm source_note", defaults=("",))
+TalaEntry.__doc__ = "One catalog record: a numbered rhythm with its name, gloss and source note."
+ModeEntry = namedtuple("ModeEntry", "number name gloss members")
+ModeEntry.__doc__ = "One catalogued mode: number, name, gloss, members (a z12 pitch-class set)."
 
 
-def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: Callable) -> list:
-    """The catalog line reader: ``parse`` reads the payload cell, named
-    ``cell`` in errors; ``make`` builds an entry from the fields."""
+def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: type) -> list:
+    """The catalog line reader: ``parse`` reads the payload cell, named ``cell``
+    in errors; the record class ``make`` takes the cells, from 4 up to one per field."""
     entries = []
     seen: set[int] = set()
     for lineno, raw in enumerate(source, start=1):
@@ -65,8 +60,9 @@ def _load(source: Iterable[str], parse: Callable, cell: str, key: str, make: Cal
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split("|")]
-        if len(fields) not in (4, 5):
-            raise ParseError(f"expected 4 or 5 |-separated fields, got {len(fields)}", lineno)
+        if not 4 <= len(fields) <= len(make._fields):
+            expected = " or ".join(map(str, range(4, len(make._fields) + 1)))
+            raise ParseError(f"expected {expected} |-separated fields, got {len(fields)}", lineno)
         ident = ascii_int(fields[0], lineno)
         if ident is None:
             raise ParseError(f"id must be a positive integer, got {fields[0]!r}", lineno)
@@ -88,13 +84,13 @@ def _fits(text: str) -> bool:
     return "|" not in text and text == text.strip() and len(text.splitlines()) < 2
 
 
-def _dump(rows: Iterable[tuple], format_payload: Callable) -> str:
-    """The catalog line writer, for (id, name, gloss, payload, note) rows;
-    a row that would not load back equal is a DomainError."""
+def _dump(entries: Iterable[tuple], format_payload: Callable) -> str:
+    """The catalog line writer, for records whose fields are id, name, gloss,
+    payload and an optional note; one that would not load back equal is a DomainError."""
     lines = []
     seen: set[int] = set()
-    for ident, name, gloss, payload, note in rows:
-        cells = [format_values([ident]), name, gloss, format_payload(payload)] + ([note] if note else [])
+    for ident, name, gloss, payload, *note in entries:
+        cells = [format_values([ident]), name, gloss, format_payload(payload), *filter(None, note)]
         if ident < 1 or ident in seen:
             raise DomainError(f"id {cells[0]} is not positive or not unique")
         seen.add(ident)
@@ -117,18 +113,17 @@ def load_catalog(source: Iterable[str]) -> list[TalaEntry]:
 
 def load_modes(source: Iterable[str]) -> list[ModeEntry]:
     """Parse mode catalog lines; the payload cell holds pitch classes."""
-    return _load(source, z12.parse_pcset, "pitch classes", "mode number",
-                 lambda number, name, gloss, members, *_: ModeEntry(number, name, gloss, members))
+    return _load(source, z12.parse_pcset, "pitch classes", "mode number", ModeEntry)
 
 
 def serialize_catalog(entries: Iterable[TalaEntry]) -> str:
     """Canonical catalog text, one line per entry, loadable by :func:`load_catalog`."""
-    return _dump(((e.id, e.name, e.gloss, e.rhythm, e.source_note) for e in entries), format_rhythm)
+    return _dump(entries, format_rhythm)
 
 
 def serialize_modes(entries: Iterable[ModeEntry]) -> str:
     """Canonical mode catalog text, loadable by :func:`load_modes`."""
-    return _dump(((e.number, e.name, e.gloss, e.members, "") for e in entries), z12.format_pcset)
+    return _dump(entries, z12.format_pcset)
 
 
 def _read_seed(name: str, data_dir: str | None = None) -> list[str]:
@@ -155,15 +150,10 @@ def seed_modes(data_dir: str | None = None) -> list[ModeEntry]:
     return load_modes(_read_seed("modes.cat", data_dir))
 
 
-class AnalysisReport(namedtuple("AnalysisReport", "entry_id non_retrogradable total prime_total"
-                                                   " augmentation_chain interleave")):
-    """Analysis of one rhythm, every field produced by the rhythm operations.
-
-    ``prime_total`` is None when the total is not a whole number of
-    units; ``interleave`` is None for single-duration rhythms.
-    """
-
-    __slots__ = ()
+AnalysisReport = namedtuple("AnalysisReport", "entry_id non_retrogradable total prime_total"
+                                               " augmentation_chain interleave")
+AnalysisReport.__doc__ = """Analysis of one rhythm, every field produced by the rhythm operations;
+``prime_total`` is None when the total is not a whole number of units, ``interleave`` for a single duration."""
 
 
 def _prime_or_none(r: Rhythm) -> bool | None:

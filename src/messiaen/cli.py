@@ -283,19 +283,17 @@ def _cmd_perm_count(args, machine: bool) -> str:
 def _catalog_entries(args) -> list:
     from . import catalog as cat
 
-    loader = {"talas": cat.seed_talas, "quatuor": cat.seed_quatuor}[args.which]
-    return loader(args.data)
+    return getattr(cat, f"seed_{args.which}")(args.data)
 
 
 def _cmd_catalog_list(args, machine: bool) -> str:
     from . import catalog as cat, rhythm as rh, z12
 
-    if args.which == "modes":
-        modes = cat.seed_modes(args.data)
-        if machine:
-            return cat.serialize_modes(modes)
-        return _lines(f"{m.number}. {m.name} — {m.gloss} — {z12.format_pcset(m.members)}" for m in modes)
     entries = _catalog_entries(args)
+    if args.which == "modes":
+        if machine:
+            return cat.serialize_modes(entries)
+        return _lines(f"{m.number}. {m.name} — {m.gloss} — {z12.format_pcset(m.members)}" for m in entries)
     if machine:
         return cat.serialize_catalog(entries)
     lines = []
@@ -355,6 +353,7 @@ PERM_IN = (FORMAT, _arg("perm_text", "positional", nargs="?", metavar="PERM", he
 SIZE = _arg("size", "positional", type=int, metavar="N")
 
 
+# Each --which choice names its catalog's loader, catalog.seed_<which>.
 def _catalog_in(*extra, which=("talas", "quatuor")) -> tuple:
     return (FORMAT, _arg("--which", choices=which, default="talas", help="catalog to use"),
             _arg("--data", metavar="DIR", help="directory overriding the shipped data files"), *extra)
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
             subs = verbs.add_parser(verb, help=verb_help).add_subparsers(dest="action", required=True)
             for action, (help_, arguments) in actions.items():
                 sub = subs.add_parser(action, help=help_)
-                sub.set_defaults(func=globals()[f"_cmd_{verb}_{action}"])
                 sub.register("type", int, _int_flag)
                 for name, kind, keywords in arguments:
                     sub.add_argument(name, action={"flag": "store_true", "append": "append"}.get(kind), **keywords)
@@ -458,7 +456,7 @@ def read_argv(argv: list[str]) -> _Args | None:
     if len(argv) < 2 or argv[1] not in SPEC.get(argv[0], ("", {}))[1]:
         return None
     verb, action, *tokens = argv
-    values = {"verb": verb, "action": action, "func": globals()[f"_cmd_{verb}_{action}"]}
+    values = {"verb": verb, "action": action}
     arguments, positionals, required, given = {}, [], set(), set()
     for name, kind, keywords in SPEC[verb][1][action][1]:
         arguments[name] = kind, keywords
@@ -491,8 +489,8 @@ def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
     ``read_argv`` reads a well-formed argv; argparse reads every other one.
-    The handler is the module's function of that name at the time of the
-    call, so that a wrapper put on it after the parser was built runs.
+    The handler is the module's function ``_cmd_<verb>_<action>`` at the
+    time of the call, so that a wrapper put on it after import runs.
 
     The only writer of stdout: a handler returns its output text, and
     the text is printed only once the handler has succeeded.
@@ -500,7 +498,7 @@ def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = read_argv(argv) or build_parser().parse_args(argv)
-        text = globals()[args.func.__name__](args, args.format == MACHINE)
+        text = globals()[f"_cmd_{args.verb}_{args.action}"](args, args.format == MACHINE)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ParseError, OSError) as exc:

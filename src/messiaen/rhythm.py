@@ -40,6 +40,11 @@ PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 # Largest canon scheduled, in events (voices x durations): at the bound `rhythm canon` takes
 # 1.3-1.7 s (human) and 2.1-2.6 s (machine format) in a fresh `python -S` on 2 x86-64 cores.
 MAX_CANON_EVENTS = 250_000
+# Largest canon scheduled, in digits: events x digits of the onsets' common denominator, or of the
+# end written over it where longer. The costliest canon under both bounds, 500 voices of 500 durations
+# k/M over an 18-digit M, takes 2.0-2.2 s and 204 MB (human), 2.6-3.1 s and 239 MB (machine format),
+# measured likewise.
+MAX_CANON_DIGITS = 5_000_000
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
@@ -244,10 +249,8 @@ def is_prime_total(r: Rhythm) -> bool:
     return _is_prime(total.numerator)
 
 
-class AugmentationChain(namedtuple("AugmentationChain", "prefix ratios")):
-    """A decomposition r = prefix ++ ratios[0]*prefix ++ ratios[1]*prefix ++ ..."""
-
-    __slots__ = ()
+AugmentationChain = namedtuple("AugmentationChain", "prefix ratios")
+AugmentationChain.__doc__ = "A decomposition r = prefix ++ ratios[0]*prefix ++ ratios[1]*prefix ++ ..."
 
 
 def detect_augmentation_chain(r: Rhythm) -> AugmentationChain | None:
@@ -279,16 +282,10 @@ def detect_augmentation_chain(r: Rhythm) -> AugmentationChain | None:
     return None
 
 
-class SequenceShape(namedtuple("SequenceShape", "values constant increasing decreasing unimodal")):
-    """Shape flags for one extracted subsequence of durations."""
-
-    __slots__ = ()
-
-
-class InterleaveProfile(namedtuple("InterleaveProfile", "odd even")):
-    """Shapes of the odd-position and even-position subsequences (1-based)."""
-
-    __slots__ = ()
+SequenceShape = namedtuple("SequenceShape", "values constant increasing decreasing unimodal")
+SequenceShape.__doc__ = "Shape flags for one extracted subsequence of durations."
+InterleaveProfile = namedtuple("InterleaveProfile", "odd even")
+InterleaveProfile.__doc__ = "Shapes of the odd-position and even-position subsequences (1-based)."
 
 
 def _shape(values: tuple[Fraction, ...]) -> SequenceShape:
@@ -321,10 +318,8 @@ def interleave_profile(r: Rhythm) -> InterleaveProfile:
     )
 
 
-class Voice(namedtuple("Voice", "delay ratio onsets end")):
-    """One canon voice: entry delay plus augmentation ratio for the subject."""
-
-    __slots__ = ()
+Voice = namedtuple("Voice", "delay ratio onsets end")
+Voice.__doc__ = "One canon voice: entry delay plus augmentation ratio for the subject."
 
 
 class CanonSchedule(namedtuple("CanonSchedule", "subject voices events")):
@@ -350,6 +345,21 @@ class CanonSchedule(namedtuple("CanonSchedule", "subject voices events")):
         return hash(self[:2])
 
 
+def _onset_keys(common: int, total: int, voices: list[tuple[Fraction, Fraction]], bits: int):
+    """Each voice's first onset and step rate as integers over the onsets' common denominator,
+    lcm(delays' denominators, common x ratios' denominators), for a subject of ``total`` units of
+    1/common; None once that denominator, checked as it grows, or a voice's end over it has more
+    than ``bits`` bits."""
+    room, ratios, delays = bits + 1 - common.bit_length(), 1, 1  # common x ratios has >= their bits - 1
+    for delay, ratio in voices:
+        ratios, delays = math.lcm(ratios, ratio.denominator), math.lcm(delays, delay.denominator)
+        if ratios.bit_length() > room or delays.bit_length() > bits:
+            return None
+    den = math.lcm(delays, common * ratios)
+    heads = [(d.numerator * (den // d.denominator), q.numerator * (den // q.denominator // common)) for d, q in voices]
+    return None if max(den, *(start + rate * total for start, rate in heads)).bit_length() > bits else heads
+
+
 def build_canon(
     subject: Rhythm, voices: Sequence[tuple[int | str | Fraction, int | str | Fraction]]
 ) -> CanonSchedule:
@@ -358,7 +368,10 @@ def build_canon(
     Voice onsets are delay + ratio * (prefix sum of subject durations);
     pitch content is out of scope, the canon lives in the durations only.
     More than ``MAX_CANON_EVENTS`` events in all is a DomainError, raised
-    before any voice is read.
+    before any voice is read; so is, once every voice is checked and
+    before any onset is summed, more than ``MAX_CANON_DIGITS`` digits:
+    events times the digits of the onsets' common denominator, or of the
+    canon's end written over it where that is longer.
 
     >>> sched = build_canon(rhythm([2, 1, 2]), [(0, 1), (1, "3/2")])
     >>> sched.voices[1].onsets
@@ -366,30 +379,37 @@ def build_canon(
     """
     if not voices:
         raise NoVoices("a canon needs at least one voice")
-    if len(voices) * len(subject) > MAX_CANON_EVENTS:
+    size = len(voices) * len(subject)
+    if size > MAX_CANON_EVENTS:
         raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations"
                           f" exceeds {MAX_CANON_EVENTS} events")
-    # The subject over its least common denominator, as integers.
-    common = math.lcm(*{d.denominator for d in subject.durations})
-    units = [d.numerator * (common // d.denominator) for d in subject.durations]
-    distinct = dict(zip(units, subject.durations))
-    built, steps = [], []
+    checked = []
     for delay_in, ratio_in in voices:
         delay, ratio = as_fraction(delay_in), as_fraction(ratio_in)
         if delay < 0:
             raise DomainError(f"voice delay must be nonnegative, got {_shown(delay)}")
         if ratio <= 0:
             raise BadRatio(f"voice ratio must be strictly positive, got {_shown(ratio)}")
+        checked.append((delay, ratio))
+    # The subject over its least common denominator, as integers.
+    common = math.lcm(*{d.denominator for d in subject.durations})
+    units = [d.numerator * (common // d.denominator) for d in subject.durations]
+    digits = MAX_CANON_DIGITS // size
+    heads = _onset_keys(common, sum(units), checked, -(-10 * digits // 3))  # 2 ** (10 * digits / 3) > 10 ** digits
+    if heads is None:
+        raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations exceeds {MAX_CANON_DIGITS}"
+                          f" digits: its onsets' common denominator, or its end over it, has more than {digits} digits")
+    distinct = dict(zip(units, subject.durations))
+    built, steps = [], []
+    for delay, ratio in checked:
         # Each distinct duration scaled once; the onsets are running sums of those steps.
         scaled = {n: ratio * d for n, d in distinct.items()}
         steps.append(list(map(scaled.__getitem__, units)))
         times = tuple(accumulate(steps[-1], initial=delay))
         built.append(Voice(delay, ratio, times[:-1], times[-1]))
     # Onsets as integers over one denominator; a stable sort of them, voice after voice, is (onset, voice) order.
-    den = math.lcm(*(v.delay.denominator for v in built), *(v.ratio.denominator * common for v in built))
     keys = []
-    for v in built:
-        start, rate = int(v.delay * den), int(v.ratio * den / common)  # whole: den is a multiple of each
+    for start, rate in heads:
         keys += accumulate(map(rate.__mul__, units[:-1]), initial=start)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys  # freed before the events are built

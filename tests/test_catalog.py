@@ -99,6 +99,19 @@ def test_load_catalog_rejects_malformed(line):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("line, fields", [("1|a|b|0 6|note", 5), ("1|a|0 6", 3), ("1|a|b|0 6||", 6)])
+def test_load_modes_reads_four_cells_only(line, fields):
+    # A mode line has no source-note cell: a fifth cell is refused, not dropped.
+    with pytest.raises(ParseError) as err:
+        load_modes(["# header", line])
+    assert str(err.value) == f"line 2: expected 4 |-separated fields, got {fields}"
+
+
+def test_load_catalog_names_its_four_or_five_cells():
+    with pytest.raises(ParseError, match=r"^line 1: expected 4 or 5 \|-separated fields, got 6$"):
+        load_catalog(["58|a|b|1|c|d"])
+
+
 def test_load_catalog_rejects_duplicate_id():
     with pytest.raises(DuplicateId):
         load_catalog(["5|a||1", "5|b||2"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from messiaen import catalog as cat
+from messiaen import cli as cli_module
 from messiaen import perm as pm
 from messiaen import z12
 from messiaen.cli import COUNT_MAX, build_parser, run
@@ -484,7 +485,7 @@ def test_analyze_of_a_large_prime_total_is_quick(cli):
 @pytest.mark.parametrize("machine", [False, True])
 def test_handlers_return_their_output_and_print_nothing(capsys, argv, machine):
     args = build_parser().parse_args(list(argv))
-    text = args.func(args, machine)
+    text = getattr(cli_module, f"_cmd_{args.verb}_{args.action}")(args, machine)
     assert capsys.readouterr() == ("", "")
     run([*argv, "--format", "machine" if machine else "human"])
     assert capsys.readouterr().out == text
@@ -514,6 +515,19 @@ def test_canon_past_the_event_bound_exits_3_at_once(cli):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err == "erreur: canon of 501 voices of 500 durations exceeds 250000 events\n"
+
+
+def test_canon_past_the_digit_bound_exits_3_at_once(cli):
+    # 400 voices of ten durations 1/(10**4299 + i): 4000 events over a denominator of
+    # 43 000 digits, in a 47 kB argv; scheduled in full, the call took 8.5-9.6 s and 158 MB.
+    voices = ["--voice", "0:1"] * 400
+    subject = " ".join(f"1/{10**4299 + i}" for i in range(10))
+    start = time.perf_counter()
+    code, out, err = cli("rhythm", "canon", *voices, subject)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == ("erreur: canon of 400 voices of 10 durations exceeds 5000000 digits: its onsets' common"
+                   " denominator, or its end over it, has more than 1250 digits\n")
 
 
 def _canon_writing_every_event(subject_text, voices, machine):
@@ -571,6 +585,13 @@ def test_data_that_is_not_utf8_exits_2(cli, tmp_path, action, fmt):
     code, out, err = cli("catalog", *action, "--data", str(tmp_path), "--format", fmt)
     assert code == 2 and out == ""
     assert err == f"erreur de lecture: {tmp_path / 'talas.cat'}: not UTF-8 text (byte 12: invalid start byte)\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_mode_line_of_five_cells_exits_2(cli, tmp_path, fmt):
+    (tmp_path / "modes.cat").write_text("1|a|b|0 2 4 6 8 10\n2|c|d|0 6|note\n", encoding="utf-8")
+    code, out, err = cli("catalog", "list", "--which", "modes", "--data", str(tmp_path), "--format", fmt)
+    assert (code, out, err) == (2, "", "erreur de lecture: line 2: expected 4 |-separated fields, got 5\n")
 
 
 @pytest.mark.parametrize("predicate", ["nonretro", "augchain", "interleave", "prime"])

@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from messiaen import cli
+from messiaen import catalog, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tools")]
@@ -67,6 +67,20 @@ def test_the_reader_leaves_to_argparse_what_it_cannot_be_sure_of():
         ["catalog", "filter", "syncopated"], ["catalog", "list", "--which", "x"], ["PCSET", "classify", "0"],
     ):
         assert cli.read_argv(argv) is None, argv
+
+
+def test_each_action_has_its_handler_and_each_catalog_its_loader():
+    # run finds an action's handler by the name _cmd_<verb>_<action>, and the catalog
+    # of a --which choice by the name catalog.seed_<which>; neither namespace holds it.
+    actions = {f"_cmd_{verb}_{action}" for verb, (_, table) in cli.SPEC.items() for action in table}
+    assert actions == {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert all(callable(getattr(cli, name)) for name in actions)
+    choices = {choice for _, table in cli.SPEC.values() for _, arguments in table.values()
+               for name, _, keywords in arguments if name == "--which" for choice in keywords["choices"]}
+    assert choices == {"talas", "quatuor", "modes"}
+    assert all(callable(getattr(catalog, f"seed_{choice}")) for choice in choices)
+    for argv in ACTIONS:
+        assert "func" not in vars(cli.read_argv(argv)) and "func" not in argparse_reads(argv)
 
 
 def test_a_repeated_append_option_keeps_every_value_in_order():

@@ -310,6 +310,23 @@ def test_build_canon_errors():
         build_canon(AMPHIMACER, [(-1, 1)])
 
 
+def test_build_canon_refuses_canons_past_the_digit_bound(monkeypatch):
+    wide = rhythm([F(1, 10**4299 + i) for i in range(10)])  # a common denominator of 43 000 digits
+    with pytest.raises(DomainError, match="400 voices of 10 durations exceeds 5000000 digits"):
+        build_canon(wide, [(0, 1)] * 400)
+    # every voice is checked before the digits are counted
+    with pytest.raises(BadRatio):
+        build_canon(wide, [(0, 1)] * 399 + [(0, 0)])
+    # integer onsets of 4290 digits: the end over the denominator is what is long
+    with pytest.raises(DomainError, match="more than 500 digits"):
+        build_canon(rhythm([1] * 2500), [(0, 10**4290)] * 4)
+    monkeypatch.setattr(rhythm_module, "MAX_CANON_DIGITS", 60)  # 10 digits for each of 6 events
+    assert len(build_canon(AMPHIMACER, [(0, 1), (F(1, 10**8), F(3, 7))]).events) == 6
+    for voice in [(F(1, 10**11), 1), (0, F(1, 10**11)), (10**11, 1), (0, 10**11)]:
+        with pytest.raises(DomainError, match="more than 10 digits"):
+            build_canon(AMPHIMACER, [(0, 1), voice])
+
+
 def test_build_canon_refuses_canons_past_the_event_bound(monkeypatch):
     monkeypatch.setattr("messiaen.rhythm.MAX_CANON_EVENTS", 6)
     assert len(build_canon(AMPHIMACER, [(0, 1), (1, 2)]).events) == 6  # 2 voices x 3 durations

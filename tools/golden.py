@@ -32,7 +32,8 @@ The corpus:
 - ``perm orbit --base`` with repeated values and with equal values
   written differently (``1/2`` and ``2/4``), both formats;
 - ``rhythm canon`` at the event bound, in both formats, and one voice
-  past it, in machine format only;
+  past it, in machine format only; and 100 voices of the first 500
+  primes as ``1/p``, past the digit bound, in both formats;
 - a small ``rhythm canon`` full of ties (equal voices, and onsets of
   different voices that coincide), one whose delays and ratios have
   denominators coprime to each other and to the subject's, and one whose
@@ -42,7 +43,8 @@ The corpus:
 - ``catalog`` actions on a catalog, written to a fixed directory under
   the system's temporary directory, whose first total is past the
   primality bound, and on one, in a second fixed directory, whose bytes
-  are not UTF-8;
+  are not UTF-8; ``catalog list --which modes`` on a third, whose
+  ``modes.cat`` has a line of five cells and one of three;
 - ``--help`` at the top, for every verb and for every action, and the
   bare call of the program and of every verb.
 
@@ -140,8 +142,12 @@ def _canon_argv() -> list[list[str]]:
     coprime = ["rhythm", "canon", "--voice", "0:1", "--voice", "1/3:2/7", "--voice", "2/9:5/11", "2 1/2 4/3 5/13 1 3/2 2/13"]
     # Voices of different ratios meet at 0, 2 and 4.
     meeting = ["rhythm", "canon", "--voice", "0:1", "--voice", "1:1/2", "--voice", "0:2", "2 2 1 1"]
+    # 100 voices of the first 500 primes as 1/p: 50 000 events over a denominator of 1520 digits,
+    # past the digit bound.
+    primes = [p for p in range(2, 3572) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    wide = ["rhythm", "canon", *["--voice", "0:1"] * 100, " ".join(f"1/{p}" for p in primes)]
     # 500 x 500 events is the bound. Past it, machine format only: a tree without the bound schedules it.
-    return [argv + fmt for argv in (canon(500), ties, coprime, meeting) for fmt in FORMATS] + [
+    return [argv + fmt for argv in (canon(500), ties, coprime, meeting, wide) for fmt in FORMATS] + [
         canon(501) + ["--format", "machine"]]
 
 
@@ -175,21 +181,24 @@ def _edge_argv() -> list[list[str]]:
 
 
 def _catalog_argv() -> list[list[str]]:
-    def data_dir(name: str, talas: bytes) -> str:
+    def data_dir(name: str, text: bytes, file: str = "talas.cat") -> str:
         data = Path(tempfile.gettempdir(), name)
         data.mkdir(exist_ok=True)
-        (data / "talas.cat").write_bytes(talas)
+        (data / file).write_bytes(text)
         return str(data)
 
     # 3317044064679887385962003 is past the primality bound and has no factor up to 41.
     lines = ["1|a|b|3317044064679887385962003", "2|c|d|2 1 2", "3|e|f|1 1 3/2", "4|g|h|2 1 3 2 1"]
     data = data_dir("messiaen-golden-data", "".join(f"{line}\n" for line in lines).encode("utf-8"))
     undecodable = data_dir("messiaen-golden-undecodable-data", b"1|a|b|2 1 2\n\xff|x|y|1\n")
+    # A mode line of five cells, then one of three: a mode line has four.
+    modes = data_dir("messiaen-golden-modes-data", b"1|a|b|0 2 4 6 8 10\n2|c|d|0 6|note\n3|e|0 4 8\n", "modes.cat")
     actions = [["catalog", "filter", p] for p in ("nonretro", "prime", "augchain", "interleave")]
     actions += [["catalog", "analyze"], ["catalog", "analyze", "--id", "2"], ["catalog", "list"]]
     return [argv + ["--data", data] + fmt for argv in actions for fmt in FORMATS] + [
         argv + ["--data", undecodable] + fmt
-        for argv in (["catalog", "list"], ["catalog", "analyze"], ["catalog", "filter", "prime"]) for fmt in FORMATS]
+        for argv in (["catalog", "list"], ["catalog", "analyze"], ["catalog", "filter", "prime"]) for fmt in FORMATS] + [
+        ["catalog", "list", "--which", "modes", "--data", modes] + fmt for fmt in FORMATS]
 
 
 def _help_argv(actions) -> list[list[str]]:
