@@ -8,7 +8,9 @@ refuse mixing two explicitly different units.
 
 Everything here is exact: no duration or total is ever a float, and
 equality tests (in particular the palindrome test behind
-non-retrogradability) are exact rational comparisons.
+non-retrogradability) are exact rational comparisons.  Rhythms are read
+and scaled once per distinct token or duration, and analysed by
+comparing numerators and denominators as integers.
 """
 
 from __future__ import annotations
@@ -167,7 +169,10 @@ def augment(r: Rhythm, ratio: int | str | Fraction) -> Rhythm:
     q = as_fraction(ratio)
     if q <= 0:
         raise BadRatio(f"ratio must be strictly positive, got {_shown(q)}")
-    return Rhythm._trusted(tuple(d * q for d in r.durations), r.unit)
+    # Each distinct duration multiplied once, keyed by its parts: hashing a Fraction costs more than the product.
+    keys = [(d.numerator, d.denominator) for d in r.durations]
+    products = {key: d * q for key, d in dict(zip(keys, r.durations)).items()}
+    return Rhythm._trusted(tuple(map(products.__getitem__, keys)), r.unit)
 
 
 def symmetric_amplification(core: Rhythm, wing: Rhythm) -> Rhythm:
@@ -265,20 +270,23 @@ def detect_augmentation_chain(r: Rhythm) -> AugmentationChain | None:
     >>> chain.ratios
     (Fraction(1, 2), Fraction(1, 4))
     """
-    n = len(r)
+    durations, n = r.durations, len(r)
+    first = durations[0]
     for length in range(1, n // 2 + 1):
         if n % length:
             continue
-        prefix = r.durations[:length]
         ratios = []
         for start in range(length, n, length):
-            block = r.durations[start:start + length]
-            q = block[0] / prefix[0]
-            if q == 1 or any(block[i] != prefix[i] * q for i in range(length)):
+            # The block is the prefix times qn/qd iff each block duration x and prefix duration p at the same
+            # place have x.numerator * p.denominator * qd == p.numerator * x.denominator * qn: integers only.
+            head = durations[start]
+            qn, qd = head.numerator * first.denominator, head.denominator * first.numerator
+            if qn == qd or any(x.numerator * p.denominator * qd != p.numerator * x.denominator * qn
+                               for x, p in zip(durations[start:start + length], durations)):
                 break
-            ratios.append(q)
+            ratios.append(head / first)  # the ratio's Fraction, made only for a block that matches
         else:
-            return AugmentationChain(Rhythm._trusted(prefix, r.unit), tuple(ratios))
+            return AugmentationChain(Rhythm._trusted(durations[:length], r.unit), tuple(ratios))
     return None
 
 
@@ -289,18 +297,18 @@ InterleaveProfile.__doc__ = "Shapes of the odd-position and even-position subseq
 
 
 def _shape(values: tuple[Fraction, ...]) -> SequenceShape:
-    n = len(values)
-    constant = all(v == values[0] for v in values)
-    increasing = n >= 2 and all(a < b for a, b in zip(values, values[1:]))
-    decreasing = n >= 2 and all(a > b for a, b in zip(values, values[1:]))
-    unimodal = False
-    if n >= 3:
-        peak = max(range(n), key=lambda i: values[i])
-        if 0 < peak < n - 1:
-            up = all(a < b for a, b in zip(values[: peak + 1], values[1 : peak + 1]))
-            down = all(a > b for a, b in zip(values[peak:], values[peak + 1 :]))
-            unimodal = up and down
-    return SequenceShape(values, constant, increasing, decreasing, unimodal)
+    # Each neighbouring pair a/b, c/d compared once as a * d against c * b: "<" a rise, ">" a fall, "=" a repeat.
+    pairs = [(v.numerator, v.denominator) for v in values]
+    steps = "".join("<" if x < y else ">" if x > y else "="
+                    for x, y in ((a * d, c * b) for (a, b), (c, d) in zip(pairs, pairs[1:])))
+    rises = len(steps) - len(steps.lstrip("<"))
+    return SequenceShape(
+        values,
+        constant=not steps.strip("="),
+        increasing=bool(steps) and rises == len(steps),
+        decreasing=bool(steps) and not steps.strip(">"),
+        unimodal=0 < rises < len(steps) and not steps[rises:].strip(">"),
+    )
 
 
 def interleave_profile(r: Rhythm) -> InterleaveProfile:
@@ -391,11 +399,15 @@ def build_canon(
         if ratio <= 0:
             raise BadRatio(f"voice ratio must be strictly positive, got {_shown(ratio)}")
         checked.append((delay, ratio))
-    # The subject over its least common denominator, as integers.
     common = math.lcm(*{d.denominator for d in subject.durations})
-    units = [d.numerator * (common // d.denominator) for d in subject.durations]
     digits = MAX_CANON_DIGITS // size
-    heads = _onset_keys(common, sum(units), checked, -(-10 * digits // 3))  # 2 ** (10 * digits / 3) > 10 ** digits
+    bits = -(-10 * digits // 3)  # 2 ** (10 * digits / 3) > 10 ** digits
+    heads = None
+    # A denominator _onset_keys would refuse at the first voice is refused before the subject is written over it:
+    # that takes as many digits as the denominator for each duration.
+    if common.bit_length() <= bits:
+        units = [d.numerator * (common // d.denominator) for d in subject.durations]
+        heads = _onset_keys(common, sum(units), checked, bits)
     if heads is None:
         raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations exceeds {MAX_CANON_DIGITS}"
                           f" digits: its onsets' common denominator, or its end over it, has more than {digits} digits")
@@ -432,13 +444,13 @@ def parse_rhythm(text: str) -> Rhythm:
     tokens = body.split()
     if not tokens:
         raise ParseError("empty rhythm text")
-    durations = []
-    for tok in tokens:
-        value = as_fraction(tok)
+    # Each distinct token read and checked once, at its first occurrence: the first bad token is named.
+    values = dict.fromkeys(tokens)
+    for tok in values:
+        value = values[tok] = as_fraction(tok)
         if value <= 0:
             raise ParseError(f"durations must be strictly positive: {tok!r}")
-        durations.append(value)
-    return Rhythm._trusted(tuple(durations), unit)
+    return Rhythm._trusted(tuple(map(values.__getitem__, tokens)), unit)
 
 
 def format_values(values: Iterable[int | str | Fraction]) -> str:

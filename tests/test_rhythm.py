@@ -1,13 +1,17 @@
 import pickle
 import random
 import sys
+import time
+import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from messiaen import rhythm as rhythm_module
+from messiaen.catalog import analyze_rhythm
 
 from messiaen.errors import (
     MAX_DIGITS,
@@ -656,3 +660,221 @@ def test_the_checking_constructor_still_refuses():
         Rhythm(())
     with pytest.raises(TypeError):
         Rhythm((F(1), 1.5))
+
+
+# --- reading and analysis on integers against the Fraction code they replace --
+
+
+def _parse_by_fraction(text):
+    """parse_rhythm as first written, one as_fraction per token: the reference."""
+    body, marker, unit = text.partition("@unit=")
+    unit = unit.strip()
+    if marker and not unit:
+        raise ParseError("empty unit label after @unit=")
+    tokens = body.split()
+    if not tokens:
+        raise ParseError("empty rhythm text")
+    durations = []
+    for tok in tokens:
+        value = as_fraction(tok)
+        if value <= 0:
+            raise ParseError(f"durations must be strictly positive: {tok!r}")
+        durations.append(value)
+    return Rhythm(tuple(durations), unit)
+
+
+def _augment_by_fraction(r, ratio):
+    """augment as first written, one Fraction product per duration: the reference."""
+    q = as_fraction(ratio)
+    if q <= 0:
+        raise BadRatio(f"ratio must be strictly positive, got {_shown(q)}")
+    return Rhythm(tuple(d * q for d in r.durations), r.unit)
+
+
+def _chain_by_fraction(r):
+    """detect_augmentation_chain as first written, Fraction ratios and products: the reference."""
+    n = len(r)
+    for length in range(1, n // 2 + 1):
+        if n % length:
+            continue
+        prefix = r.durations[:length]
+        ratios = []
+        for start in range(length, n, length):
+            block = r.durations[start:start + length]
+            q = block[0] / prefix[0]
+            if q == 1 or any(block[i] != prefix[i] * q for i in range(length)):
+                break
+            ratios.append(q)
+        else:
+            return AugmentationChain(Rhythm(prefix, r.unit), tuple(ratios))
+    return None
+
+
+def _shape_by_fraction(values):
+    """_shape as first written, Fraction comparisons around the first maximum: the reference."""
+    n = len(values)
+    constant = all(v == values[0] for v in values)
+    increasing = n >= 2 and all(a < b for a, b in zip(values, values[1:]))
+    decreasing = n >= 2 and all(a > b for a, b in zip(values, values[1:]))
+    unimodal = False
+    if n >= 3:
+        peak = max(range(n), key=lambda i: values[i])
+        if 0 < peak < n - 1:
+            up = all(a < b for a, b in zip(values[: peak + 1], values[1 : peak + 1]))
+            down = all(a > b for a, b in zip(values[peak:], values[peak + 1 :]))
+            unimodal = up and down
+    return rhythm_module.SequenceShape(values, constant, increasing, decreasing, unimodal)
+
+
+def _profile_by_fraction(r):
+    if len(r) < 2:
+        raise TooShort("interleave profile needs at least two durations")
+    return rhythm_module.InterleaveProfile(_shape_by_fraction(r.durations[0::2]), _shape_by_fraction(r.durations[1::2]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ParseError, BadRatio, TooShort) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Rhythm):
+        _assert_built_as_checked(got, want.durations, want.unit)
+    else:
+        assert got == want
+
+
+_VALUES = st.builds(F, _SMALL | _WIDE, _SMALL | _WIDE)  # parts of up to 4300 digits
+_POOLS = st.lists(_VALUES, min_size=1, max_size=4)  # few distinct values, so each is repeated
+
+
+@st.composite
+def _spellings(draw, value):
+    """One way of writing value: its own text, over a common factor, or with leading zeros."""
+    k = draw(st.integers(2, 3))
+    words = [str(value), f"{value.numerator}/{value.denominator}", f"0{value.numerator}/00{value.denominator}"]
+    if max(value.numerator, value.denominator) * k < 10**MAX_DIGITS:  # still within the reader's digit bound
+        words.append(f"{value.numerator * k}/{value.denominator * k}")
+    return draw(st.sampled_from(words))
+
+
+@st.composite
+def _rhythm_texts(draw):
+    values = draw(st.lists(st.sampled_from(draw(_POOLS)), min_size=1, max_size=30))
+    words = [draw(_spellings(v)) for v in values]
+    bad = st.sampled_from(("0", "00/7", "-1", "x", "1/0", "2/-3", "1.5", "١", "1/" + "7" * (MAX_DIGITS + 1)))
+    for _ in range(draw(st.integers(0, 2))):  # a bad token, or a word again, anywhere
+        words.insert(draw(st.integers(0, len(words))), draw(bad | st.sampled_from(words)))
+    return " ".join(words) + draw(st.sampled_from(("", " @unit=double croche", " @unit= ")))
+
+
+@st.composite
+def _rhythms(draw):
+    """Few distinct values, equal ones built apart or shared, as a chain, a chain with one entry changed, or any order."""
+    pool = draw(_POOLS)
+    kind = draw(st.sampled_from(("chain", "perturbed", "any")))
+    if kind == "any":
+        durations = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    else:
+        prefix = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        ratios = draw(st.lists(_VALUES.filter(lambda q: q != 1) | st.sampled_from((F(2), F(1, 2), F(3, 2))),
+                               min_size=1, max_size=4))
+        durations = prefix + [d * q for q in ratios for d in prefix]
+        if kind == "perturbed":
+            i = draw(st.integers(0, len(durations) - 1))
+            durations[i] = draw(st.sampled_from(pool) | st.just(durations[i] * 2) | st.just(durations[-1 - i]))
+    # Equal values as distinct objects (a Fraction rebuilt from its parts) or as one object.
+    durations = [draw(st.sampled_from((d, F(d.numerator, d.denominator)))) for d in durations]
+    return Rhythm(durations, draw(st.sampled_from(("", "double croche"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rhythm_texts())
+@example("1/2 2/4 01/2 1/2 3 6/2 03")
+@example("1/2 2/4 x 01/2 0 x")
+def test_parse_rhythm_matches_the_token_by_token_parse(text):
+    _assert_same_outcome(_outcome(parse_rhythm, text), _outcome(_parse_by_fraction, text))
+
+
+def test_parse_rhythm_names_the_first_bad_token():
+    with pytest.raises(ParseError, match="^durations must be strictly positive: '0'$"):
+        parse_rhythm("1 0 0")
+    with pytest.raises(ParseError, match="^not a rational duration token: 'x'$"):
+        parse_rhythm("2 x 0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rhythms(), _VALUES | st.builds(F, st.integers(-3, 0), _SMALL))
+def test_augment_matches_the_product_per_duration(r, ratio):
+    _assert_same_outcome(_outcome(augment, r, ratio), _outcome(_augment_by_fraction, r, ratio))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rhythms())
+@example(rhythm([4, 4, 2, 2, 1, 1]))
+@example(rhythm([4, 4, 2, 2, 1, 2]))
+@example(rhythm([2, 2, 2, 2]))
+def test_chain_and_profile_match_the_fraction_analysis(r):
+    got, want = detect_augmentation_chain(r), _chain_by_fraction(r)
+    assert got == want
+    if want is not None:
+        _assert_built_as_checked(got.prefix, want.prefix.durations, want.prefix.unit)
+        assert all(type(q) is F for q in got.ratios)
+    assert _outcome(interleave_profile, r) == _outcome(_profile_by_fraction, r)
+
+
+def test_shape_matches_the_fraction_shape_on_every_short_sequence():
+    values = (F(1, 3), F(1, 2), F(2, 3), F(1), F(7, 4))
+    count = 0
+    for n in range(1, 7):
+        for seq in product(values, repeat=n):
+            assert rhythm_module._shape(seq) == _shape_by_fraction(seq), seq
+            count += 1
+    assert count == 19_530
+
+
+# --- huge denominators: no work over the rhythm's common denominator ---------
+
+
+def _one_over_primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return Rhythm([F(1, p) for p in range(n) if sieve[p]])
+
+
+def _seconds(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+def test_analysis_and_augmentation_of_pairwise_coprime_denominators_stay_fast():
+    r = _one_over_primes_below(10**5)  # 9592 durations; their common denominator has about 43 000 digits
+    assert len(r) == 9592
+    assert _seconds(analyze_rhythm, r) < 5
+    assert _seconds(augment, r, F(3, 2)) < 5
+
+
+def test_canon_of_4300_digit_denominators_stays_fast():
+    subject = Rhythm([F(1, 10**4299 + 2 * i + 1) for i in range(30)])
+    assert _seconds(build_canon, subject, [(0, 1)]) < 3
+
+
+def test_canon_refused_for_its_denominator_does_not_write_the_subject_over_it():
+    r = _one_over_primes_below(10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as refused:
+            build_canon(r, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(refused.value) is DomainError
+    assert str(refused.value) == (f"canon of 1 voices of 9592 durations exceeds {rhythm_module.MAX_CANON_DIGITS} digits:"
+                                  " its onsets' common denominator, or its end over it, has more than 521 digits")
+    assert peak < 30 * 2**20
