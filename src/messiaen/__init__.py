@@ -5,8 +5,9 @@ limited transposition on the integers modulo 12, and symmetric
 permutations with their orbit tables, plus the catalog of quoted
 deçî-tâlas and Quatuor measures.
 
-A submodule is imported on first use of one of its names (PEP 562), so
-that ``import messiaen`` is cheap and a command loads only what it runs.
+A submodule is imported on first use of it or of one of its names
+(PEP 562), so that ``import messiaen`` is cheap and a command loads
+only what it runs.
 """
 
 __version__ = "0.1.0"

@@ -23,9 +23,10 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from fractions import Fraction
 
 from . import z12
-from .errors import BadPredicate, DomainError, DuplicateId, NonIntegerTotal, ParseError, TooShort, ascii_int, oui
+from .errors import BadPredicate, DomainError, DuplicateId, ParseError, TooShort, ascii_int, oui
 from .rhythm import (
     InterleaveProfile,
     Rhythm,
@@ -36,7 +37,6 @@ from .rhythm import (
     format_values,
     interleave_profile,
     is_non_retrogradable,
-    is_prime_total,
     parse_rhythm,
     total_duration,
 )
@@ -156,11 +156,8 @@ AnalysisReport.__doc__ = """Analysis of one rhythm, every field produced by the 
 ``prime_total`` is None when the total is not a whole number of units, ``interleave`` for a single duration."""
 
 
-def _prime_or_none(r: Rhythm) -> bool | None:
-    try:
-        return is_prime_total(r)
-    except NonIntegerTotal:
-        return None
+def _prime_or_none(total: Fraction) -> bool | None:
+    return _is_prime(total.numerator) if total.denominator == 1 else None
 
 
 def _interleave_or_none(r: Rhythm) -> InterleaveProfile | None:
@@ -177,7 +174,7 @@ def analyze_rhythm(r: Rhythm, entry_id: int | None = None) -> AnalysisReport:
         entry_id=entry_id,
         non_retrogradable=is_non_retrogradable(r),
         total=total,
-        prime_total=_is_prime(total.numerator) if total.denominator == 1 else None,
+        prime_total=_prime_or_none(total),
         augmentation_chain=detect_augmentation_chain(r),
         interleave=_interleave_or_none(r),
     )
@@ -201,7 +198,7 @@ def _pred_interleave(r: Rhythm) -> bool:
 # never fails on an analysis it does not need (primality past rhythm.PRIME_BOUND).
 PREDICATES = {
     "nonretro": is_non_retrogradable,
-    "prime": lambda r: _prime_or_none(r) is True,
+    "prime": lambda r: _prime_or_none(total_duration(r)) is True,
     "augchain": lambda r: detect_augmentation_chain(r) is not None,
     "interleave": _pred_interleave,
 }

@@ -6,16 +6,19 @@ permutation text, re-readable by the corresponding parser) or JSON for
 structured reports.  Exit codes: 0 success, 2 parse error, 3 domain
 error.
 
-Each handler imports the modules it uses, so that one call loads only
-what its action needs.  The command line is described once, in ``SPEC``:
-``read_argv`` reads a well-formed argv from it without argparse, and the
-argparse parser that ``build_parser`` builds from it reads every other
-argv and writes every help, usage and error text.
+Handlers reach modules through the package, which imports each one on
+first use, so that one call loads only what its action needs.  The
+command line is described once, in ``SPEC``: ``read_argv`` reads a
+well-formed argv from it without argparse, and the argparse parser that
+``build_parser`` builds from it reads every other argv and writes every
+help, usage and error text.
 """
 
 from __future__ import annotations
 
 import sys
+
+import messiaen
 
 from .errors import DomainError, ParseError, digit_bound, oui
 
@@ -29,16 +32,12 @@ COUNT_MAX = 20_000
 
 
 def _rhythm_arg(args):
-    from . import rhythm as rh
-
-    r = rh.parse_rhythm(args.rhythm_text)
-    return rh.Rhythm._trusted(r.durations, args.unit) if args.unit and not r.unit else r
+    r = messiaen.rhythm.parse_rhythm(args.rhythm_text)
+    return messiaen.rhythm.Rhythm._trusted(r.durations, args.unit) if args.unit and not r.unit else r
 
 
 def _rhythm_result(r, machine: bool, label: str) -> str:
-    from . import rhythm as rh
-
-    return f"{rh.format_rhythm(r)}\n" if machine else f"{label}: {rh.format_rhythm(r)}\n"
+    return f"{messiaen.rhythm.format_rhythm(r)}\n" if machine else f"{label}: {messiaen.rhythm.format_rhythm(r)}\n"
 
 
 def _json(value) -> str:
@@ -74,48 +73,38 @@ def _decimal(n: int) -> str:
 
 
 def _cmd_rhythm_analyze(args, machine: bool) -> str:
-    from . import catalog as cat
-
     r = _rhythm_arg(args)
-    report = cat.analyze_rhythm(r)
-    return _json(cat.report_to_dict(report)) if machine else cat.render_report(report, rhythm=r) + "\n"
+    report = messiaen.catalog.analyze_rhythm(r)
+    if machine:
+        return _json(messiaen.catalog.report_to_dict(report))
+    return messiaen.catalog.render_report(report, rhythm=r) + "\n"
 
 
 def _cmd_rhythm_retrograde(args, machine: bool) -> str:
-    from . import rhythm as rh
-
-    return _rhythm_result(rh.retrograde(_rhythm_arg(args)), machine, "rétrograde")
+    return _rhythm_result(messiaen.rhythm.retrograde(_rhythm_arg(args)), machine, "rétrograde")
 
 
 def _cmd_rhythm_augment(args, machine: bool) -> str:
-    from . import rhythm as rh
-
-    ratio = rh.as_fraction(args.ratio)
-    out = rh.augment(_rhythm_arg(args), ratio)
-    kind = rh.augmentation_kind(ratio)
+    ratio = messiaen.rhythm.as_fraction(args.ratio)
+    out = messiaen.rhythm.augment(_rhythm_arg(args), ratio)
+    kind = messiaen.rhythm.augmentation_kind(ratio)
     label = "identité" if kind == "identity" else kind
-    return _rhythm_result(out, machine, f"{label} (rapport {rh.format_values([ratio])})")
+    return _rhythm_result(out, machine, f"{label} (rapport {messiaen.rhythm.format_values([ratio])})")
 
 
 def _cmd_rhythm_amplify(args, machine: bool) -> str:
-    from . import rhythm as rh
-
     core = _rhythm_arg(args)
-    wing = rh.parse_rhythm(args.wing)
-    return _rhythm_result(rh.symmetric_amplification(core, wing), machine, "amplification symétrique")
+    wing = messiaen.rhythm.parse_rhythm(args.wing)
+    return _rhythm_result(messiaen.rhythm.symmetric_amplification(core, wing), machine, "amplification symétrique")
 
 
 def _cmd_rhythm_eliminate(args, machine: bool) -> str:
-    from . import rhythm as rh
-
-    out = rh.eliminate_extremes(_rhythm_arg(args), args.count)
+    out = messiaen.rhythm.eliminate_extremes(_rhythm_arg(args), args.count)
     return _rhythm_result(out, machine, f"extrêmes éliminés (k={args.count})")
 
 
 def _cmd_rhythm_central(args, machine: bool) -> str:
-    from . import rhythm as rh
-
-    out = rh.scale_central(_rhythm_arg(args), rh.as_fraction(args.ratio))
+    out = messiaen.rhythm.scale_central(_rhythm_arg(args), messiaen.rhythm.as_fraction(args.ratio))
     return _rhythm_result(out, machine, "valeur centrale modifiée")
 
 
@@ -127,20 +116,18 @@ def _parse_voice(text: str) -> tuple[str, str]:
 
 
 def _cmd_rhythm_canon(args, machine: bool) -> str:
-    from . import rhythm as rh
-
     subject = _rhythm_arg(args)
     voices = [_parse_voice(v) for v in args.voice]
-    sched = rh.build_canon(subject, voices)
-    heads = [rh.format_values([v.delay, v.ratio, v.end]).split() for v in sched.voices]
-    onsets = [rh.format_values(v.onsets).split(" ") for v in sched.voices]
+    sched = messiaen.rhythm.build_canon(subject, voices)
+    heads = [messiaen.rhythm.format_values([v.delay, v.ratio, v.end]).split() for v in sched.voices]
+    onsets = [messiaen.rhythm.format_values(v.onsets).split(" ") for v in sched.voices]
     # A voice's events come in the order of its onsets, so each event's time is its voice's next word.
     readers = [iter(words) for words in onsets]
     times = [next(readers[v]) for _, v, _ in sched.events]
     if machine:
-        durations = rh.format_values(d for _, _, d in sched.events).split()
+        durations = messiaen.rhythm.format_values(d for _, _, d in sched.events).split()
         return _json({
-            "subject": rh.format_rhythm(subject),
+            "subject": messiaen.rhythm.format_rhythm(subject),
             "voices": [{"delay": d, "ratio": q, "onsets": o, "end": e} for (d, q, e), o in zip(heads, onsets)],
             "events": [[t, i + 1, d] for t, (_, i, _), d in zip(times, sched.events, durations)],
         })
@@ -154,51 +141,43 @@ def _cmd_rhythm_canon(args, machine: bool) -> str:
 
 
 def _cmd_pcset_classify(args, machine: bool) -> str:
-    from . import z12
-
-    s = z12.parse_pcset(args.pcset_text)
-    mode = z12.classify_mode(s)
+    s = messiaen.z12.parse_pcset(args.pcset_text)
+    mode = messiaen.z12.classify_mode(s)
     if machine:
         return _json(None if mode is None else {"mode": mode.number, "offset": mode.offset, "period": mode.period})
     if mode is not None:
         return f"Mode {mode.number}, transposition {mode.offset + 1} (sur {mode.period})\n"
-    if not z12.is_degenerate(s) and z12.detect_truncated(s):
+    if not messiaen.z12.is_degenerate(s) and messiaen.z12.detect_truncated(s):
         return "aucun mode catalogué (mode tronqué)\n"
     return "aucun mode catalogué\n"
 
 
 def _cmd_pcset_period(args, machine: bool) -> str:
-    from . import z12
-
-    s = z12.parse_pcset(args.pcset_text)
-    period = z12.minimal_period(s)
+    s = messiaen.z12.parse_pcset(args.pcset_text)
+    period = messiaen.z12.minimal_period(s)
     if machine:
         return f"{period}\n"
     line = f"période minimale: {period} — {period} transpositions distinctes"
     line += f" — transpositions limitées: {oui(period < 12)}"
-    if z12.is_degenerate(s):
+    if messiaen.z12.is_degenerate(s):
         line += " — ensemble dégénéré"
     return line + "\n"
 
 
 def _cmd_pcset_enumerate(args, machine: bool) -> str:
-    from . import z12
-
-    sets = z12.enumerate_limited()
+    sets = messiaen.z12.enumerate_limited()
     if machine:
-        return _lines(z12.format_pcset(s) for s in sets)
+        return _lines(messiaen.z12.format_pcset(s) for s in sets)
     lines = [f"{len(sets)} ensembles à transpositions limitées (dégénérés inclus)"]
     for s in sets:
-        text = z12.format_pcset(s) or "(ensemble vide)"
-        extra = " — dégénéré" if z12.is_degenerate(s) else ""
-        lines.append(f"  {text} — période {z12.minimal_period(s) if s else 1}{extra}")
+        text = messiaen.z12.format_pcset(s) or "(ensemble vide)"
+        extra = " — dégénéré" if messiaen.z12.is_degenerate(s) else ""
+        lines.append(f"  {text} — période {messiaen.z12.minimal_period(s) if s else 1}{extra}")
     return _lines(lines)
 
 
 def _cmd_pcset_truncated(args, machine: bool) -> str:
-    from . import z12
-
-    truncated = z12.detect_truncated(z12.parse_pcset(args.pcset_text))
+    truncated = messiaen.z12.detect_truncated(messiaen.z12.parse_pcset(args.pcset_text))
     return _json(truncated) if machine else f"mode tronqué: {oui(truncated)}\n"
 
 
@@ -206,14 +185,12 @@ def _cmd_pcset_truncated(args, machine: bool) -> str:
 
 
 def _perm_arg(args):
-    from . import perm as pm
-
     if args.chronochromie and args.perm_text:
         raise ParseError("give either a permutation or --chronochromie, not both")
     if args.chronochromie:
-        return pm.chronochromie()
+        return messiaen.perm.chronochromie()
     if args.perm_text:
-        return pm.parse_perm(args.perm_text)
+        return messiaen.perm.parse_perm(args.perm_text)
     raise ParseError("a permutation (1-based images) or --chronochromie is required")
 
 
@@ -232,17 +209,15 @@ def _cmd_perm_cycles(args, machine: bool) -> str:
 
 
 def _cmd_perm_fan(args, machine: bool) -> str:
-    from . import perm as pm
-
-    p = pm.fan(args.size, direction=args.direction)
+    p = messiaen.perm.fan(args.size, direction=args.direction)
     if machine:
-        return pm.format_perm(p) + "\n"
+        return messiaen.perm.format_perm(p) + "\n"
     side = "gauche" if args.direction == "left" else "droite"
-    base = pm.format_perm(pm.identity(args.size))
-    table = pm.orbit_table(p, base.split(" "))
+    base = messiaen.perm.format_perm(messiaen.perm.identity(args.size))
+    table = messiaen.perm.orbit_table(p, base.split(" "))
     return _lines([
         f"éventail sur {args.size} objets (du centre vers les extrêmes, départ à {side})",
-        f"permutation: {pm.format_perm(p)}",
+        f"permutation: {messiaen.perm.format_perm(p)}",
         f"suites itérées depuis {base}:",
         *(f"  {i}: {' '.join(row)}" for i, row in enumerate(table.rows, start=1)),
         f"ordre = {table.order} "
@@ -251,17 +226,13 @@ def _cmd_perm_fan(args, machine: bool) -> str:
 
 
 def _cmd_perm_orbit(args, machine: bool) -> str:
-    from . import perm as pm
-
     p = _perm_arg(args)
     # Distinct values have distinct words, so each row is a reading of the base's words.
     if args.base:
-        from . import rhythm as rh
-
-        words = rh.format_values(rh.parse_rhythm(args.base).durations).split(" ")
+        words = messiaen.rhythm.format_values(messiaen.rhythm.parse_rhythm(args.base).durations).split(" ")
     else:  # the chromatic durations 1..n, written as the fan writes its base
-        words = pm.format_perm(pm.identity(len(p))).split(" ")
-    table = pm.orbit_table(p, words, cap=pm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
+        words = messiaen.perm.format_perm(messiaen.perm.identity(len(p))).split(" ")
+    table = messiaen.perm.orbit_table(p, words, cap=messiaen.perm.DEFAULT_ORBIT_CAP if args.cap is None else args.cap)
     rows = [" ".join(row) for row in table.rows]
     if machine:
         return _lines(rows)
@@ -269,11 +240,9 @@ def _cmd_perm_orbit(args, machine: bool) -> str:
 
 
 def _cmd_perm_count(args, machine: bool) -> str:
-    from . import perm as pm
-
     if args.size > COUNT_MAX:
         raise DomainError(f"n! is printed for n up to {COUNT_MAX}, got {args.size}")
-    count = _decimal(pm.permutation_count(args.size))
+    count = _decimal(messiaen.perm.permutation_count(args.size))
     return f"{count}\n" if machine else f"{args.size}! = {count}\n"
 
 
@@ -281,26 +250,22 @@ def _cmd_perm_count(args, machine: bool) -> str:
 
 
 def _catalog_entries(args) -> list:
-    from . import catalog as cat
-
-    return getattr(cat, f"seed_{args.which}")(args.data)
+    return getattr(messiaen.catalog, f"seed_{args.which}")(args.data)
 
 
 def _cmd_catalog_list(args, machine: bool) -> str:
-    from . import catalog as cat, rhythm as rh, z12
-
     entries = _catalog_entries(args)
     if args.which == "modes":
         if machine:
-            return cat.serialize_modes(entries)
-        return _lines(f"{m.number}. {m.name} — {m.gloss} — {z12.format_pcset(m.members)}" for m in entries)
+            return messiaen.catalog.serialize_modes(entries)
+        return _lines(f"{m.number}. {m.name} — {m.gloss} — {messiaen.z12.format_pcset(m.members)}" for m in entries)
     if machine:
-        return cat.serialize_catalog(entries)
+        return messiaen.catalog.serialize_catalog(entries)
     lines = []
     for e in entries:
         label = f" — {e.name}" if e.name else ""
         gloss = f" ({e.gloss})" if e.gloss else ""
-        lines.append(f"{e.id}{label}{gloss}: {rh.format_rhythm(e.rhythm)}")
+        lines.append(f"{e.id}{label}{gloss}: {messiaen.rhythm.format_rhythm(e.rhythm)}")
     return _lines(lines)
 
 
@@ -314,23 +279,19 @@ def _select_entries(args) -> list:
 
 
 def _cmd_catalog_analyze(args, machine: bool) -> str:
-    from . import catalog as cat
-
     entries = _select_entries(args)
-    reports = [cat.analyze_entry(e) for e in entries]
+    reports = [messiaen.catalog.analyze_entry(e) for e in entries]
     if machine:
-        return cat.reports_to_json(reports) + "\n"
-    blocks = [cat.render_report(report, rhythm=entry.rhythm) for entry, report in zip(entries, reports)]
+        return messiaen.catalog.reports_to_json(reports) + "\n"
+    blocks = [messiaen.catalog.render_report(report, rhythm=entry.rhythm) for entry, report in zip(entries, reports)]
     return "\n\n".join(blocks) + "\n"
 
 
 def _cmd_catalog_filter(args, machine: bool) -> str:
-    from . import catalog as cat, rhythm as rh
-
-    entries = cat.filter_catalog(_catalog_entries(args), args.predicate)
+    entries = messiaen.catalog.filter_catalog(_catalog_entries(args), args.predicate)
     if machine:
-        return cat.serialize_catalog(entries)
-    return _lines(f"{e.id}: {rh.format_rhythm(e.rhythm)}" for e in entries)
+        return messiaen.catalog.serialize_catalog(entries)
+    return _lines(f"{e.id}: {messiaen.rhythm.format_rhythm(e.rhythm)}" for e in entries)
 
 
 # --- the command line, once ------------------------------------------------

@@ -16,6 +16,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
+import messiaen
+
 from .errors import CapExceeded, DomainError, Empty, NotABijection, ParseError, SizeMismatch, ascii_int
 
 DEFAULT_ORBIT_CAP = 1_000_000
@@ -155,11 +157,10 @@ def chromatic_durations(n: int) -> Rhythm:
     >>> chromatic_durations(3).durations
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))
     """
-    from .rhythm import Rhythm  # rhythm loads fractions, which no other perm function needs
-
     if n < 1:
         raise Empty(f"need at least one duration, got {n}")
-    return Rhythm(range(1, n + 1), CHROMATIC_UNIT)
+    # Through the package: rhythm loads fractions, which no other perm function needs.
+    return messiaen.rhythm.Rhythm(range(1, n + 1), CHROMATIC_UNIT)
 
 
 class OrbitTable(namedtuple("OrbitTable", "base rows")):

@@ -61,6 +61,14 @@ RATIONAL_FREE = [argv + fmt for argv in (
     ["perm", "orbit", "--chronochromie"],
 ) for fmt in ([], ["--format", "machine"])]
 RATIONALS = {"fractions", "messiaen.rhythm", "messiaen.catalog"}
+# The messiaen modules an action loads: the package, cli and errors, and its verb's modules;
+# `rhythm analyze` reports through catalog, which imports rhythm and z12.
+VERB_MODULES = {
+    "pcset": {"z12"},
+    "perm": {"perm"},
+    "rhythm": {"rhythm"},
+    "catalog": {"catalog", "rhythm", "z12"},
+}
 
 # The modules are listed before the listing imports json, which loads re.
 LIST_MODULES = (
@@ -122,6 +130,15 @@ def test_fresh_call_of_a_well_formed_argv_loads_no_argparse(argv, fresh):
     proc = fresh[1][tuple(argv)]
     assert proc.returncode == 0, proc.stderr
     assert not set(json.loads(proc.stdout)) & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
+def test_fresh_call_loads_exactly_its_verbs_modules(argv, fresh):
+    proc = fresh[1][tuple(argv)]
+    assert proc.returncode == 0, proc.stderr
+    verb = "catalog" if argv[:2] == ["rhythm", "analyze"] else argv[0]
+    expected = {"messiaen", "messiaen.cli", "messiaen.errors", *(f"messiaen.{m}" for m in VERB_MODULES[verb])}
+    assert {m for m in json.loads(proc.stdout) if m.partition(".")[0] == "messiaen"} == expected
 
 
 def test_fresh_human_pcset_classify_loads_no_regular_expressions(fresh):

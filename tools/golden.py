@@ -72,6 +72,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -91,13 +92,21 @@ N = "9" * 4300
 M = "9" * 4299 + "7"  # N - 2
 
 
-def _readme_argv() -> list[list[str]]:
+def readme_examples() -> list[tuple[list[str], str, list[str]]]:
+    """Each ``$ messiaen ...`` example of the README: its argv, the pipe after
+    it ("" for none), and the lines shown under it, up to a blank line or a fence."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     out = []
-    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+    for i, line in enumerate(lines):
         if line.startswith("$ messiaen "):
-            command = line[len("$ messiaen "):].split(" | ")[0]
-            out += [shlex.split(command) + fmt for fmt in FORMATS]
+            command, _, pipe = line[len("$ messiaen "):].partition(" | ")
+            shown = list(itertools.takewhile(lambda text: text and not text.startswith("```"), lines[i + 1:]))
+            out.append((shlex.split(command), pipe, shown))
     return out
+
+
+def _readme_argv() -> list[list[str]]:
+    return [argv + fmt for argv, _, _ in readme_examples() for fmt in FORMATS]
 
 
 def _note_argv() -> list[list[str]]:
