@@ -25,7 +25,8 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from . import z12
+import messiaen
+
 from .errors import BadPredicate, DomainError, DuplicateId, ParseError, TooShort, ascii_int, oui
 from .rhythm import (
     InterleaveProfile,
@@ -113,7 +114,7 @@ def load_catalog(source: Iterable[str]) -> list[TalaEntry]:
 
 def load_modes(source: Iterable[str]) -> list[ModeEntry]:
     """Parse mode catalog lines; the payload cell holds pitch classes."""
-    return _load(source, z12.parse_pcset, "pitch classes", "mode number", ModeEntry)
+    return _load(source, messiaen.z12.parse_pcset, "pitch classes", "mode number", ModeEntry)
 
 
 def serialize_catalog(entries: Iterable[TalaEntry]) -> str:
@@ -123,7 +124,7 @@ def serialize_catalog(entries: Iterable[TalaEntry]) -> str:
 
 def serialize_modes(entries: Iterable[ModeEntry]) -> str:
     """Canonical mode catalog text, loadable by :func:`load_modes`."""
-    return _dump(entries, z12.format_pcset)
+    return _dump(entries, messiaen.z12.format_pcset)
 
 
 def _read_seed(name: str, data_dir: str | None = None) -> list[str]:
@@ -186,8 +187,7 @@ def analyze_entry(e: TalaEntry) -> AnalysisReport:
 
 
 def _pred_interleave(r: Rhythm) -> bool:
-    # The interlocking pattern: one parity class constant, the other
-    # rising then falling.
+    # The interlocking pattern: one parity class constant, the other rising then falling.
     p = _interleave_or_none(r)
     if p is None:
         return False

@@ -92,7 +92,7 @@ def _rotate(n: int, t: int) -> int:
 
 def transpose(s: PcSet, t: int) -> PcSet:
     """Translate every member by t semitones modulo 12."""
-    return from_bitmask(_rotate(bitmask(s), t))
+    return frozenset((x + t) % 12 for x in s)
 
 
 def is_degenerate(s: PcSet) -> bool:

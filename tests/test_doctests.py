@@ -8,8 +8,9 @@ omitted lines or words.
 
 import doctest
 import importlib
+import itertools
 import pkgutil
-import sys
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,13 +19,25 @@ import messiaen
 from messiaen import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-
-import golden  # noqa: E402
 
 # The modules whose docstrings hold examples.
 WITH_EXAMPLES = ("catalog", "perm", "rhythm", "z12")
-README_EXAMPLES = golden.readme_examples()
+
+
+def readme_examples() -> list[tuple[list[str], str, list[str]]]:
+    """Each ``$ messiaen ...`` example of the README: its argv, the pipe after
+    it ("" for none), and the lines shown under it, up to a blank line or a fence."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ messiaen "):
+            command, _, pipe = line[len("$ messiaen "):].partition(" | ")
+            shown = list(itertools.takewhile(lambda text: text and not text.startswith("```"), lines[i + 1:]))
+            out.append((shlex.split(command), pipe, shown))
+    return out
+
+
+README_EXAMPLES = readme_examples()
 
 
 @pytest.mark.parametrize("name", WITH_EXAMPLES)

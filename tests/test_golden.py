@@ -1,7 +1,7 @@
-"""The golden outcomes of the command line, compared group by group.
+"""The golden outcomes of the command line, compared group by group and held to the exit contract.
 
-The corpus of ``tools/golden.py`` (about 27 000 argv) runs in process,
-and each group of argv (its first two words) must give the count and
+The corpus of ``tools/golden.py`` (about 27 000 argv) runs in process
+once.  Each group of argv (its first two words) must give the count and
 the SHA-256 digest that ``tests/golden.txt`` holds.  A change that alters
 output on purpose writes that file again, with
 
@@ -14,9 +14,12 @@ compares the digests without argparse's text (exit codes, and stdout but
 for ``--help``) and says so in a warning.
 """
 
+import hashlib
 import sys
 import warnings
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -26,16 +29,22 @@ import golden  # noqa: E402
 from messiaen.errors import MAX_DIGITS  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden.txt"
+EMPTY = hashlib.sha256(b"").hexdigest()  # the recorded digest of an empty stdout
 
 
-def test_every_group_of_the_golden_corpus_gives_its_recorded_digest(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.fixture(scope="module")
+def recorded():
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)  # the file holds the outcomes under the default limit
     try:
-        recorded = golden.outcomes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            return golden.outcomes()
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_every_group_of_the_golden_corpus_gives_its_recorded_digest(recorded):
     header, expected = golden.read_digest(GOLDEN)
     python = header.split()[-1]
     full = python == f"{sys.version_info.major}.{sys.version_info.minor}"
@@ -51,3 +60,14 @@ def test_every_group_of_the_golden_corpus_gives_its_recorded_digest(monkeypatch)
     differ = sorted(group for group in expected.keys() | got.keys() if seen(expected, group) != seen(got, group))
     assert not differ, (f"groups whose outcomes differ from {GOLDEN.name}: {', '.join(differ)}; "
                         "list their argv with tools/golden.py record and diff")
+
+
+def _keeps_the_contract(code, stdout: str, err: str) -> bool:
+    """Exit 0 with empty stderr, or exit 2 or 3 with empty stdout and one stderr line (more only for argparse)."""
+    one_line = err.endswith("\n") and "\n" not in err[:-1]
+    return err == "" if code == 0 else code in (2, 3) and stdout == EMPTY and (one_line or err.startswith("usage: "))
+
+
+def test_every_argv_of_the_golden_corpus_keeps_the_exit_contract(recorded):
+    broken = [o for o in recorded if not _keeps_the_contract(o["code"], o["stdout"], o["stderr"])]
+    assert not broken, f"{len(broken)} argv break the exit contract, the first: {broken[0]}"

@@ -12,16 +12,19 @@ the count and two SHA-256 digests of the outcome lines: one over every
 line, and one without argparse's text (stderr, and the stdout of argv
 that ask for ``--help``), which changes between Python minor versions.
 ``tests/golden.txt`` is that file, and ``tests/test_golden.py`` records
-the corpus again and compares it group by group; a change that alters
-output on purpose writes the file again::
+the corpus again, compares it group by group, and holds every outcome to
+the exit contract; a change that alters output on purpose writes the
+file again::
 
     PYTHONPATH=src python3 tools/golden.py digest tests/golden.txt
 
 The corpus:
 
-- the seeded random argv of ``tests/test_cli_fuzz.py``, over several seeds;
+- 2000 seeded random argv (``_argv``, drawn from ``ACTIONS`` below) for
+  each of ``FUZZ_SEEDS``;
 - one round of ``perfbench.cli_mix.build`` for each of seeds 1-5;
-- the ``$ messiaen ...`` examples of the README, in both formats;
+- ``README_ARGV``, the argv of the README's ``$ messiaen ...`` examples
+  (held here, so that a README edit leaves the corpus), in both formats;
 - every note spelling (letter, case, accidental) through ``pcset``;
 - every nonempty pitch-class set through ``pcset classify`` and
   ``pcset period``, in both formats;
@@ -72,7 +75,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import random
@@ -92,21 +94,83 @@ N = "9" * 4300
 M = "9" * 4299 + "7"  # N - 2
 
 
-def readme_examples() -> list[tuple[list[str], str, list[str]]]:
-    """Each ``$ messiaen ...`` example of the README: its argv, the pipe after
-    it ("" for none), and the lines shown under it, up to a blank line or a fence."""
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    out = []
-    for i, line in enumerate(lines):
-        if line.startswith("$ messiaen "):
-            command, _, pipe = line[len("$ messiaen "):].partition(" | ")
-            shown = list(itertools.takewhile(lambda text: text and not text.startswith("```"), lines[i + 1:]))
-            out.append((shlex.split(command), pipe, shown))
-    return out
+README_ARGV = [["rhythm", "analyze", "3 5 8 5 3"], ["pcset", "classify", "0 1 3 4 6 7 9 10"],
+               ["perm", "orbit", "--chronochromie"], ["rhythm", "canon", "--voice", "0:1", "--voice", "1:3/2", "2 1 2"],
+               ["catalog", "filter", "augchain"]]
+
+# The random argv: tokens chosen to break parsers (Unicode digits, `|`, zero denominators, negative
+# numbers, digit strings longer than the interpreter converts), in sizes that end every call quickly.
+LONG = "7" * 5000
+TOKENS = [
+    "²", "١", "١ ٢ ١", "|", "a|b", "1/0", "0", "-1", "-3/2", "1/2", "3/2", "2 1 2",
+    "3 5 8 5 3", "1 1 3/2 @unit=u", "@unit=", "x", "C", "C# Eb", "12", "0 1 3 4 6 7 9 10",
+    "2 1 3", "3 1 2", "1 1", "", " ", LONG, "1/" + LONG, "2 " + LONG, "9" * 30, "0:1",
+    "1:3/2", "-1:1", "1:0", ":",
+]
+SMALL_INTS = ["-1", "0", "1", "2", "3", "5", "12", "33", "²", "١", LONG, "9" * 30]
+
+# Each action's positional kind and its flags with the values they are given.
+ACTIONS = {
+    ("rhythm", "analyze"): ("rhythm", {}),
+    ("rhythm", "retrograde"): ("rhythm", {}),
+    ("rhythm", "augment"): ("rhythm", {"--ratio": TOKENS}),
+    ("rhythm", "amplify"): ("rhythm", {"--wing": TOKENS}),
+    ("rhythm", "eliminate"): ("rhythm", {"--count": SMALL_INTS}),
+    ("rhythm", "central"): ("rhythm", {"--ratio": TOKENS}),
+    ("rhythm", "canon"): ("rhythm", {"--voice": TOKENS}),
+    ("pcset", "classify"): ("token", {}),
+    ("pcset", "period"): ("token", {}),
+    ("pcset", "enumerate"): (None, {}),
+    ("pcset", "truncated"): ("token", {}),
+    ("perm", "order"): ("perm", {"--chronochromie": None}),
+    ("perm", "cycles"): ("perm", {"--chronochromie": None}),
+    ("perm", "fan"): ("size", {"--direction": ["left", "right", "up"]}),
+    ("perm", "orbit"): ("perm", {"--chronochromie": None, "--base": TOKENS, "--cap": SMALL_INTS}),
+    ("perm", "count"): ("count", {}),
+    ("catalog", "list"): (None, {"--which": ["talas", "quatuor", "modes", "x"], "--data": ["/nonexistent", ""]}),
+    ("catalog", "analyze"): (None, {"--which": ["talas", "quatuor", "modes"], "--id": SMALL_INTS + ["58"]}),
+    ("catalog", "filter"): ("predicate", {"--which": ["talas", "quatuor"]}),
+}
+UNIVERSAL = {"--format": ["human", "machine", "json"], "--unit": ["u", "a|b", ""], "--help": None}
 
 
-def _readme_argv() -> list[list[str]]:
-    return [argv + fmt for argv, _, _ in readme_examples() for fmt in FORMATS]
+def _positional(rng: random.Random, kind):
+    if kind in ("rhythm", "token"):
+        return rng.choice(TOKENS)
+    if kind == "perm":
+        if rng.random() < 0.5:
+            return rng.choice(TOKENS)
+        images = list(range(1, rng.randint(1, 12) + 1))
+        rng.shuffle(images)
+        return " ".join(map(str, images))
+    if kind == "size":
+        return rng.choice(SMALL_INTS)
+    if kind == "count":
+        return rng.choice(SMALL_INTS + ["2000", "20001"])
+    return rng.choice(["nonretro", "prime", "augchain", "interleave", "syncopated"])
+
+
+# `pcset enumerate` reads no input and scans all 4096 subsets: drawn less often.
+WEIGHTS = [0.2 if key == ("pcset", "enumerate") else 1 for key in ACTIONS]
+
+
+def _argv(rng: random.Random) -> list[str]:
+    (verb, action), (kind, flags) = rng.choices(list(ACTIONS.items()), WEIGHTS)[0]
+    argv = [verb, action]
+    if kind is not None and rng.random() < 0.9:
+        argv.append(_positional(rng, kind))
+    options = list(flags.items()) + list(UNIVERSAL.items()) * (rng.random() < 0.2)
+    for flag, values in rng.sample(options, rng.randint(0, len(options))):
+        if flag == "--help" and rng.random() < 0.8:
+            continue
+        argv += [flag] if values is None else [flag, rng.choice(values)]
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(["human", "machine"])]
+    if rng.random() < 0.1:  # flags torn from their values
+        tail = argv[2:]
+        rng.shuffle(tail)
+        argv[2:] = tail
+    return argv
 
 
 def _note_argv() -> list[list[str]]:
@@ -219,7 +283,6 @@ def _help_argv(actions) -> list[list[str]]:
 def corpus() -> list[list[str]]:
     sys.path.insert(0, str(ROOT))
     from perfbench import cli_mix
-    from tests.test_cli_fuzz import ACTIONS, _argv
 
     import messiaen
 
@@ -230,8 +293,8 @@ def corpus() -> list[list[str]]:
     data_dir = Path(messiaen.__file__).parent / "data"
     for seed in CLI_MIX_SEEDS:
         argvs += [op.argv for op in cli_mix.build(seed, data_dir)]
-    return (argvs + _readme_argv() + _note_argv() + _pcset_argv() + _fan_argv() + _orbit_base_argv()
-            + _canon_argv() + _edge_argv() + _catalog_argv() + _help_argv(ACTIONS))
+    return (argvs + [argv + fmt for argv in README_ARGV for fmt in FORMATS] + _note_argv() + _pcset_argv()
+            + _fan_argv() + _orbit_base_argv() + _canon_argv() + _edge_argv() + _catalog_argv() + _help_argv(ACTIONS))
 
 
 def _outcome(run, argv: list[str]) -> dict:
