@@ -328,44 +328,26 @@ def interleave_profile(r: Rhythm) -> InterleaveProfile:
 
 Voice = namedtuple("Voice", "delay ratio onsets end")
 Voice.__doc__ = "One canon voice: entry delay plus augmentation ratio for the subject."
+CanonSchedule = namedtuple("CanonSchedule", "subject voices events")
+CanonSchedule.__doc__ = ("Onset schedule of a rhythmic canon: ``events`` merges every voice in time order as"
+                         " (onset, voice index, scaled duration) triples, ties broken by voice index.")
 
 
-class CanonSchedule(namedtuple("CanonSchedule", "subject voices events")):
-    """Onset schedule of a rhythmic canon.
-
-    ``events`` merges every voice in time order as (onset, voice index,
-    scaled duration) triples, ties broken by voice index; being derived
-    from the voices, it takes no part in == and hash.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:2] == other[:2]
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-
-def _onset_keys(common: int, total: int, voices: list[tuple[Fraction, Fraction]], bits: int):
-    """Each voice's first onset and step rate as integers over the onsets' common denominator,
-    lcm(delays' denominators, common x ratios' denominators), for a subject of ``total`` units of
-    1/common; None once that denominator, checked as it grows, or a voice's end over it has more
-    than ``bits`` bits."""
+def _onset_keys(durations: tuple[Fraction, ...], voices: list[tuple[Fraction, Fraction]], bits: int):
+    """The subject as integers over its common denominator, and each voice's first onset and step rate as
+    integers over the onsets' common denominator, lcm(delays' denominators, common x ratios' denominators);
+    None once that denominator, checked as it grows, or a voice's end over it has more than ``bits`` bits.
+    A subject denominator that is too wide is refused at the first voice, before the subject is written over it."""
+    common = math.lcm(*{d.denominator for d in durations})
     room, ratios, delays = bits + 1 - common.bit_length(), 1, 1  # common x ratios has >= their bits - 1
     for delay, ratio in voices:
         ratios, delays = math.lcm(ratios, ratio.denominator), math.lcm(delays, delay.denominator)
         if ratios.bit_length() > room or delays.bit_length() > bits:
             return None
-    den = math.lcm(delays, common * ratios)
+    units = [d.numerator * (common // d.denominator) for d in durations]
+    den, total = math.lcm(delays, common * ratios), sum(units)
     heads = [(d.numerator * (den // d.denominator), q.numerator * (den // q.denominator // common)) for d, q in voices]
-    return None if max(den, *(start + rate * total for start, rate in heads)).bit_length() > bits else heads
+    return None if max(den, *(start + rate * total for start, rate in heads)).bit_length() > bits else (units, heads)
 
 
 def build_canon(
@@ -379,7 +361,9 @@ def build_canon(
     before any voice is read; so is, once every voice is checked and
     before any onset is summed, more than ``MAX_CANON_DIGITS`` digits:
     events times the digits of the onsets' common denominator, or of the
-    canon's end written over it where that is longer.
+    canon's end written over it where that is longer. A subject whose
+    own common denominator is too wide is refused at the first voice,
+    before the subject is written over that denominator.
 
     >>> sched = build_canon(rhythm([2, 1, 2]), [(0, 1), (1, "3/2")])
     >>> sched.voices[1].onsets
@@ -399,18 +383,13 @@ def build_canon(
         if ratio <= 0:
             raise BadRatio(f"voice ratio must be strictly positive, got {_shown(ratio)}")
         checked.append((delay, ratio))
-    common = math.lcm(*{d.denominator for d in subject.durations})
     digits = MAX_CANON_DIGITS // size
     bits = -(-10 * digits // 3)  # 2 ** (10 * digits / 3) > 10 ** digits
-    heads = None
-    # A denominator _onset_keys would refuse at the first voice is refused before the subject is written over it:
-    # that takes as many digits as the denominator for each duration.
-    if common.bit_length() <= bits:
-        units = [d.numerator * (common // d.denominator) for d in subject.durations]
-        heads = _onset_keys(common, sum(units), checked, bits)
-    if heads is None:
+    grid = _onset_keys(subject.durations, checked, bits)
+    if grid is None:
         raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations exceeds {MAX_CANON_DIGITS}"
                           f" digits: its onsets' common denominator, or its end over it, has more than {digits} digits")
+    units, heads = grid
     distinct = dict(zip(units, subject.durations))
     built, steps = [], []
     for delay, ratio in checked:

@@ -15,6 +15,7 @@ for ``--help``) and says so in a warning.
 """
 
 import hashlib
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -22,6 +23,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # for perfbench, which the corpus reads, so that golden.corpus() need not add it
 sys.path.insert(0, str(ROOT / "tools"))
 
 import golden  # noqa: E402
@@ -35,13 +38,22 @@ EMPTY = hashlib.sha256(b"").hexdigest()  # the recorded digest of an empty stdou
 @pytest.fixture(scope="module")
 def recorded():
     saved = sys.get_int_max_str_digits()
+    columns, path = os.environ.get("COLUMNS"), list(sys.path)
     sys.set_int_max_str_digits(MAX_DIGITS)  # the file holds the outcomes under the default limit
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("COLUMNS", "80")
-            return golden.outcomes()
+        outcomes = golden.outcomes()
     finally:
         sys.set_int_max_str_digits(saved)
+    assert os.environ.get("COLUMNS") == columns and sys.path == path  # the recorder leaves the process as it was
+    return outcomes
+
+
+def test_the_recorder_sets_columns_only_while_it_runs(monkeypatch):
+    monkeypatch.setattr(golden, "corpus", lambda: [["--help"]])
+    monkeypatch.setenv("COLUMNS", "123")
+    assert golden.outcomes()[0]["code"] == 0 and os.environ["COLUMNS"] == "123"
+    monkeypatch.delenv("COLUMNS")  # set above, so that monkeypatch restores the caller's value at teardown
+    assert golden.outcomes()[0]["code"] == 0 and "COLUMNS" not in os.environ
 
 
 def test_every_group_of_the_golden_corpus_gives_its_recorded_digest(recorded):

@@ -79,9 +79,6 @@ RECORDS = [
      " augmentation_chain=" + repr(CHAIN) + ", interleave=" + repr(PROFILE) + ")"),
 ]
 
-# The fields that take part in == and hash; every field but CanonSchedule.events.
-COMPARED = {CanonSchedule: ("subject", "voices")}
-
 PUBLIC_NAMES = [
     "AnalysisReport", "AugmentationChain", "BadPredicate", "BadRatio", "CanonSchedule", "CapExceeded",
     "DegenerateSet", "DomainError", "DuplicateId", "Empty", "InterleaveProfile", "MODES",
@@ -101,8 +98,8 @@ IDS = [type(record).__name__ for record, _, _ in RECORDS]
 
 
 def _changed(record, fields):
-    """A record of the same type that differs in its first compared field."""
-    name = COMPARED.get(type(record), tuple(fields))[0]
+    """A record of the same type that differs in its first field."""
+    name = next(iter(fields))
     other = {"durations": (F(1),), "values": (), "odd": RISING, "prefix": R, "delay": F(0),
              "subject": Rhythm((F(3),)), "number": 3, "base": (2, 1), "id": 8, "entry_id": 1}[name]
     return type(record)(**{**fields, name: other})
@@ -119,8 +116,7 @@ def test_repr_and_field_access(record, fields, text):
 def test_equality_and_hash(record, fields, text):
     twin = type(record)(**fields)
     assert twin == record and not twin != record
-    compared = COMPARED.get(type(record), tuple(fields))
-    assert hash(twin) == hash(record) == hash(tuple(fields[name] for name in compared))
+    assert hash(twin) == hash(record) == hash(tuple(fields.values()))
     other = _changed(record, fields)
     assert other != record and not other == record
 
@@ -140,10 +136,12 @@ def test_copy_and_pickle_round_trips(record, fields, text):
         assert clone == record and hash(clone) == hash(record) and repr(clone) == text
 
 
-def test_canon_schedule_ignores_events():
+def test_canon_schedule_compares_its_events():
+    # Events are derived from the voices, yet compared like every other field.
     without = CanonSchedule(CANON.subject, CANON.voices, ())
-    assert without == CANON and not without != CANON
-    assert hash(without) == hash(CANON)
+    assert without != CANON and not without == CANON
+    assert CANON == (CANON.subject, CANON.voices, CANON.events)
+    assert hash(CANON) == hash((CANON.subject, CANON.voices, CANON.events))
 
 
 def test_positional_construction_and_defaults():

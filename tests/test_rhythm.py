@@ -331,6 +331,21 @@ def test_build_canon_refuses_canons_past_the_digit_bound(monkeypatch):
             build_canon(AMPHIMACER, [(0, 1), voice])
 
 
+def test_build_canon_digit_bound_admits_a_denominator_of_exactly_its_bits(monkeypatch):
+    monkeypatch.setattr(rhythm_module, "MAX_CANON_DIGITS", 30)  # one event of 30 digits: 100 bits
+    refused = ("canon of 1 voices of 1 durations exceeds 30 digits: its onsets' common denominator,"
+               " or its end over it, has more than 30 digits")
+    for bits, p in ((100, 2**100 - 15), (101, 2**101 - 69)):  # the largest primes below 2**100 and 2**101
+        assert p.bit_length() == bits
+        for subject, voice in ((rhythm([F(1, p)]), (0, 1)), (rhythm([1]), (0, F(1, p)))):
+            if bits == 100:
+                assert build_canon(subject, [voice]).voices[0].end == subject.durations[0] * voice[1]
+            else:
+                with pytest.raises(DomainError) as error:
+                    build_canon(subject, [voice])
+                assert type(error.value) is DomainError and str(error.value) == refused
+
+
 def test_build_canon_refuses_canons_past_the_event_bound(monkeypatch):
     monkeypatch.setattr("messiaen.rhythm.MAX_CANON_EVENTS", 6)
     assert len(build_canon(AMPHIMACER, [(0, 1), (1, 2)]).events) == 6  # 2 voices x 3 durations

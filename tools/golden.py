@@ -281,7 +281,8 @@ def _help_argv(actions) -> list[list[str]]:
 
 
 def corpus() -> list[list[str]]:
-    sys.path.insert(0, str(ROOT))
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
     from perfbench import cli_mix
 
     import messiaen
@@ -310,11 +311,18 @@ def _outcome(run, argv: list[str]) -> dict:
 
 
 def outcomes() -> list[dict]:
-    """The outcome of every argv of the corpus, in order."""
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
+    """The outcome of every argv of the corpus, in order, with ``COLUMNS=80`` set only while they run."""
     from messiaen.cli import run
 
-    return [_outcome(run, argv) for argv in corpus()]
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
+    try:
+        return [_outcome(run, argv) for argv in corpus()]
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
 
 
 def _line(outcome: dict) -> str:
