@@ -16,6 +16,7 @@ comparing numerators and denominators as integers.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -39,14 +40,26 @@ from .errors import (
 # is exact for every n below the bound (Sorenson & Webster 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
-# Largest canon scheduled, in events (voices x durations): at the bound `rhythm canon` takes
-# 1.3-1.7 s (human) and 2.1-2.6 s (machine format) in a fresh `python -S` on 2 x86-64 cores.
+# Largest canon scheduled, in events (voices x durations): at the bound, 500 voices i:1 of 500 durations 1,
+# `rhythm canon` takes 0.9-1.1 s and 99 MB (human), 1.6-1.7 s and 119 MB (machine format) in a fresh
+# `python -S` on 2 x86-64 cores.
 MAX_CANON_EVENTS = 250_000
 # Largest canon scheduled, in digits: events x digits of the onsets' common denominator, or of the
-# end written over it where longer. The costliest canon under both bounds, 500 voices of 500 durations
-# k/M over an 18-digit M, takes 2.0-2.2 s and 204 MB (human), 2.6-3.1 s and 239 MB (machine format),
-# measured likewise.
+# end written over it where longer. The costliest canon found under both bounds, 500 voices i:1 of 500 durations
+# k/M (k < M) over a 57-bit M, takes 2.0-2.9 s and 214 MB (human), 2.9-4.4 s and 267 MB (machine format);
+# 500 voices 0:1 to 0:500 of 500 durations k/M (k <= 9) over a 67-bit M, whose onsets are summed, take 1.4-1.6 s
+# and 151 MB, 2.3-2.6 s and 198 MB; measured likewise (BENCH_25.json).
 MAX_CANON_DIGITS = 5_000_000
+# Widest common denominator of a canon's onsets, in bits, at which each onset is made as Fraction(key, den) from
+# its integer key; wider ones are running Fraction sums. One voice of 4000 durations k/p, p cycling through small
+# primes: made 5.0-5.3 ms against summed 8.0 ms at 7 bits, 7.1-7.9 against 9.5-10.0 ms at 64, about even at 168
+# (10.5-11.0 against 10.4-10.6 ms), 20.2-20.5 against 12.3-12.6 ms at 416, since the gcd of each key with den widens.
+DIRECT_ONSET_BITS = 64
+# Most distinct denominators that total_duration sums over their lcm; past it, per denominator and pairwise.
+# 9999 durations over the first k primes: lcm 3.0 against 2.5 ms at k = 32, 3.8 against 2.6 ms at 64, 10.0 against
+# 3.3 ms at 256; the 9592 durations 1/p below 10**5, 938 against 73 ms. Over 1..k, whose lcm stays narrow, 1000
+# durations take 0.32 against 0.38 ms at k = 64 and 0.42 against 0.77 ms at 256.
+LCM_SUM_DENOMINATORS = 64
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
@@ -210,9 +223,19 @@ def scale_central(r: Rhythm, ratio: int | str | Fraction) -> Rhythm:
 
 
 def total_duration(r: Rhythm) -> Fraction:
-    """Exact sum of the durations in base units, summed as integers over their least common denominator."""
-    common = math.lcm(*{d.denominator for d in r.durations})
-    return Fraction(sum(d.numerator * (common // d.denominator) for d in r.durations), common)
+    """Exact sum of the durations in base units: summed as integers over their least common denominator, or,
+    past ``LCM_SUM_DENOMINATORS`` distinct denominators, per denominator and then in a balanced tree of sums."""
+    denominators = {d.denominator for d in r.durations}
+    if len(denominators) <= LCM_SUM_DENOMINATORS:
+        common = math.lcm(*denominators)
+        return Fraction(sum(d.numerator * (common // d.denominator) for d in r.durations), common)
+    sums = dict.fromkeys(denominators, 0)
+    for d in r.durations:
+        sums[d.denominator] += d.numerator
+    parts = list(map(Fraction, sums.values(), sums))
+    while len(parts) > 1:  # pairwise, so that each addition is of two sums of about the same width
+        parts = [*map(operator.add, parts[0::2], parts[1::2]), *parts[len(parts) & ~1:]]
+    return parts[0]
 
 
 def _is_prime(n: int) -> bool:
@@ -334,8 +357,8 @@ CanonSchedule.__doc__ = ("Onset schedule of a rhythmic canon: ``events`` merges 
 
 
 def _onset_keys(durations: tuple[Fraction, ...], voices: list[tuple[Fraction, Fraction]], bits: int):
-    """The subject as integers over its common denominator, and each voice's first onset and step rate as
-    integers over the onsets' common denominator, lcm(delays' denominators, common x ratios' denominators);
+    """The subject as integers over its common denominator, each voice's first onset and step rate as integers
+    over the onsets' common denominator, lcm(delays' denominators, common x ratios' denominators), and that denominator;
     None once that denominator, checked as it grows, or a voice's end over it has more than ``bits`` bits.
     A subject denominator that is too wide is refused at the first voice, before the subject is written over it."""
     common = math.lcm(*{d.denominator for d in durations})
@@ -347,7 +370,7 @@ def _onset_keys(durations: tuple[Fraction, ...], voices: list[tuple[Fraction, Fr
     units = [d.numerator * (common // d.denominator) for d in durations]
     den, total = math.lcm(delays, common * ratios), sum(units)
     heads = [(d.numerator * (den // d.denominator), q.numerator * (den // q.denominator // common)) for d, q in voices]
-    return None if max(den, *(start + rate * total for start, rate in heads)).bit_length() > bits else (units, heads)
+    return None if max(den, *(start + rate * total for start, rate in heads)).bit_length() > bits else (units, heads, den)
 
 
 def build_canon(
@@ -359,7 +382,7 @@ def build_canon(
     pitch content is out of scope, the canon lives in the durations only.
     More than ``MAX_CANON_EVENTS`` events in all is a DomainError, raised
     before any voice is read; so is, once every voice is checked and
-    before any onset is summed, more than ``MAX_CANON_DIGITS`` digits:
+    before any onset is made, more than ``MAX_CANON_DIGITS`` digits:
     events times the digits of the onsets' common denominator, or of the
     canon's end written over it where that is longer. A subject whose
     own common denominator is too wide is refused at the first voice,
@@ -389,22 +412,28 @@ def build_canon(
     if grid is None:
         raise DomainError(f"canon of {len(voices)} voices of {len(subject)} durations exceeds {MAX_CANON_DIGITS}"
                           f" digits: its onsets' common denominator, or its end over it, has more than {digits} digits")
-    units, heads = grid
+    units, heads, den = grid
+    direct = den.bit_length() <= DIRECT_ONSET_BITS
     distinct = dict(zip(units, subject.durations))
-    built, steps = [], []
-    for delay, ratio in checked:
-        # Each distinct duration scaled once; the onsets are running sums of those steps.
+    built, keys, onsets, steps = [], [], [], []
+    for (delay, ratio), (start, rate) in zip(checked, heads):
+        # Each distinct duration scaled once, and the voice's onsets and end as integers over den. Over a narrow den
+        # each time is made from its integer; over a wide one it is a running sum from the delay, since a Fraction
+        # sum takes its gcd against a small step where Fraction(key, den) takes one as wide as den.
         scaled = {n: ratio * d for n, d in distinct.items()}
-        steps.append(list(map(scaled.__getitem__, units)))
-        times = tuple(accumulate(steps[-1], initial=delay))
+        voice_steps = list(map(scaled.__getitem__, units))
+        run = list(accumulate(map(rate.__mul__, units), initial=start))
+        times = tuple(map(Fraction, run, repeat(den)) if direct else accumulate(voice_steps, initial=delay))
         built.append(Voice(delay, ratio, times[:-1], times[-1]))
-    # Onsets as integers over one denominator; a stable sort of them, voice after voice, is (onset, voice) order.
-    keys = []
-    for start, rate in heads:
-        keys += accumulate(map(rate.__mul__, units[:-1]), initial=start)
+        keys += run[:-1]
+        onsets += built[-1].onsets
+        steps += voice_steps
+    del run, times, voice_steps  # the last voice's, freed before the sort
+    # A stable sort of the integer onsets, voice after voice, is (onset, voice) order.
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys  # freed before the events are built
-    events = tuple((built[v].onsets[i], v, steps[v][i]) for v, i in map(divmod, order, repeat(len(units))))
+    events = tuple(zip(map(onsets.__getitem__, order), map(operator.floordiv, order, repeat(len(units))),
+                       map(steps.__getitem__, order)))
     return CanonSchedule(subject, tuple(built), events)
 
 

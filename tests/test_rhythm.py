@@ -616,9 +616,42 @@ def test_build_canon_refuses_as_the_fraction_sort_did(subject, voices, bound):
         assert outcomes[0] == outcomes[1]
 
 
+def _odd_of_bits(bits):
+    """An odd number of exactly ``bits`` bits."""
+    return 2 ** (bits - 1) + 1
+
+
+_GATE = rhythm_module.DIRECT_ONSET_BITS
+
+
+@pytest.mark.parametrize("bits", [_GATE - 1, _GATE, _GATE + 1])
+@pytest.mark.parametrize("through", ["subject", "delay", "ratio"])
+def test_build_canon_matches_the_fraction_sort_on_both_sides_of_the_width_gate(bits, through):
+    q = _odd_of_bits(bits)
+    subject, voice = {
+        "subject": (rhythm([F(3, q), 2, F(q - 2, q), F(1, q), 1]), (5, 3)),
+        "delay": (rhythm([3, 1, 2, 2, 1]), (F(7, q), 2)),
+        "ratio": (rhythm([3, 1, 4, 2, 1]), (1, F(q + 2, q))),
+    }[through]
+    voices = [(0, 1), voice, (1, 2)]  # the onsets' common denominator is q
+    den = rhythm_module._onset_keys(subject.durations, [tuple(map(as_fraction, v)) for v in voices], 10**4)[2]
+    assert den.bit_length() == bits
+    got = build_canon(subject, voices)
+    _assert_same_canon(got, _canon_by_fraction_sort(subject, voices))
+    for v, sung in enumerate(got.voices):
+        assert all(a is b for a, b in zip((e[0] for e in got.events if e[1] == v), sung.onsets, strict=True))
+        # A running sum starts from the delay object itself; an onset made from its integer is a new Fraction.
+        assert (sung.onsets[0] is sung.delay) is (bits > _GATE)
+
+
+# Up to 400 durations over denominators up to 1000: on both sides of LCM_SUM_DENOMINATORS distinct denominators.
+_MANY_DENOMINATORS = st.lists(st.builds(F, _SMALL, st.integers(1, 1000)), min_size=1, max_size=400).map(Rhythm)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_subjects().map(lambda s: s[0]))
+@given(_subjects().map(lambda s: s[0]) | _MANY_DENOMINATORS)
 @example(rhythm([F(1, p) for p in _PRIMES]))
+@example(rhythm([F(k, q) for q in range(1, 200) for k in (1, q + 1, 2 * q - 1)]))  # 199 denominators, not coprime
 def test_total_duration_matches_the_fraction_sum(r):
     total = total_duration(r)
     assert total == _total_by_fraction_sum(r) and type(total) is F
@@ -871,6 +904,7 @@ def _seconds(f, *args):
 def test_analysis_and_augmentation_of_pairwise_coprime_denominators_stay_fast():
     r = _one_over_primes_below(10**5)  # 9592 durations; their common denominator has about 43 000 digits
     assert len(r) == 9592
+    assert _seconds(total_duration, r) < 0.3
     assert _seconds(analyze_rhythm, r) < 5
     assert _seconds(augment, r, F(3, 2)) < 5
 

@@ -41,6 +41,9 @@ The corpus:
   different voices that coincide), one whose delays and ratios have
   denominators coprime to each other and to the subject's, and one whose
   voices of different ratios meet on the same onsets, in both formats;
+- two ``rhythm canon`` whose onsets' common denominator has 64 and 65
+  bits, just inside and just past the width at which each onset is made
+  from its integer key, in both formats;
 - edge cases of the integer flags, of ``--unit``, and of results past
   the 4300-digit bound;
 - ``catalog`` actions on a catalog, written to a fixed directory under
@@ -219,8 +222,12 @@ def _canon_argv() -> list[list[str]]:
     # past the digit bound.
     primes = [p for p in range(2, 3572) if all(p % q for q in range(2, int(p**0.5) + 1))]
     wide = ["rhythm", "canon", *["--voice", "0:1"] * 100, " ".join(f"1/{p}" for p in primes)]
+    # Onsets over a common denominator q of 64 bits, where each is made from its integer, and of 65 bits,
+    # where each is a running sum (rhythm.DIRECT_ONSET_BITS): q reached through the subject and a delay.
+    gate = [["rhythm", "canon", "--voice", "0:1", "--voice", "1:2", "--voice", f"1/{q}:3", f"2 1/{q} 3 {q - 1}/{q} 1"]
+            for q in (2**63 + 1, 2**64 + 1)]
     # 500 x 500 events is the bound. Past it, machine format only: a tree without the bound schedules it.
-    return [argv + fmt for argv in (canon(500), ties, coprime, meeting, wide) for fmt in FORMATS] + [
+    return [argv + fmt for argv in (canon(500), ties, coprime, meeting, wide, *gate) for fmt in FORMATS] + [
         canon(501) + ["--format", "machine"]]
 
 
