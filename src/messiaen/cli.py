@@ -4,7 +4,7 @@ Human output is 1-based and French-labeled; ``--format machine`` emits
 the canonical text form of the result (rhythm, pitch-class or
 permutation text, re-readable by the corresponding parser) or JSON for
 structured reports.  Exit codes: 0 success, 2 parse error, 3 domain
-error.
+error or output that its stream refuses.
 
 Handlers reach modules through the package, which imports each one on
 first use, so that one call loads only what its action needs.  The
@@ -16,6 +16,7 @@ help, usage and error text.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import messiaen
@@ -446,34 +447,74 @@ def read_argv(argv: list[str]) -> _Args | None:
     return _Args(values) if required <= given else None
 
 
-def run(argv: list[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit code.
+def call(argv: list[str]) -> tuple[int, str, str]:
+    """One call of the command line: its exit code, stdout text and stderr text; it writes nothing.
 
-    ``read_argv`` reads a well-formed argv; argparse reads every other one.
-    The handler is the module's function ``_cmd_<verb>_<action>`` at the
-    time of the call, so that a wrapper put on it after import runs.
-
-    The only writer of stdout: a handler returns its output text, and
-    the text is printed only once the handler has succeeded.
+    ``read_argv`` reads a well-formed argv; argparse reads every other one,
+    its help, usage and error texts captured.  The handler is the module's
+    function ``_cmd_<verb>_<action>`` at the time of the call, so that a
+    wrapper put on it after import runs; it returns its output text.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = read_argv(argv) or build_parser().parse_args(argv)
-        text = globals()[f"_cmd_{args.verb}_{args.action}"](args, args.format == MACHINE)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = read_argv(argv)
+        if args is None:
+            import contextlib
+            import io
+
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0), out.getvalue(), err.getvalue()
+        return 0, globals()[f"_cmd_{args.verb}_{args.action}"](args, args.format == MACHINE), ""
     except (ParseError, OSError) as exc:
-        print(f"erreur de lecture: {exc}", file=sys.stderr)
-        return 2
+        return 2, "", f"erreur de lecture: {exc}\n"
     except DomainError as exc:
-        print(f"erreur: {exc}", file=sys.stderr)
-        return 3
-    sys.stdout.write(text)
-    return 0
+        return 3, "", f"erreur: {exc}\n"
+
+
+class _Unwritten(Exception):
+    """Output that its stream refused; ``main`` ends the call with exit 3."""
+
+
+def _write(name: str, text: str = "") -> None:
+    """Write text to ``sys.<name>``, or flush it where text is empty; a refusal raises _Unwritten."""
+    stream = getattr(sys, name)
+    try:
+        stream.write(text) if text else stream.flush()
+    except (AttributeError, OSError, ValueError) as exc:  # closed (None), full, broken, or unable to encode
+        raise _Unwritten(f"{name} not written: {exc if stream else 'closed'}") from None
+
+
+def run(argv: list[str] | None = None) -> int:
+    """``call`` on argv (default ``sys.argv[1:]``), each nonempty text written once; returns the exit code."""
+    code, out, err = call(sys.argv[1:] if argv is None else list(argv))
+    for name, text in (("stdout", out), ("stderr", err)):
+        if text:
+            _write(name, text)
+    return code
 
 
 def main() -> None:
-    sys.exit(run())
+    """``run`` and a flush of stdout, with no cyclic garbage collection: a call is one bounded computation,
+    and its garbage is freed at exit.  Output a stream refuses ends in exit 3, with one ``erreur:`` line
+    where stderr takes it; fd 1 then points at the null device, so that the flush at exit does not fail again."""
+    gc.disable()
+    try:
+        code = run()
+        if sys.stdout:
+            _write("stdout")
+    except _Unwritten as exc:
+        import os
+
+        code, devnull = 3, os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        try:
+            _write("stderr", f"erreur: {exc}\n")  # stderr, line-buffered or unbuffered, takes the line at once
+        except _Unwritten:
+            os.dup2(devnull, 2)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

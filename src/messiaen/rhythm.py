@@ -40,15 +40,12 @@ from .errors import (
 # is exact for every n below the bound (Sorenson & Webster 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
-# Largest canon scheduled, in events (voices x durations): at the bound, 500 voices i:1 of 500 durations 1,
-# `rhythm canon` takes 0.9-1.1 s and 99 MB (human), 1.6-1.7 s and 119 MB (machine format) in a fresh
-# `python -S` on 2 x86-64 cores.
+# Largest canon scheduled, in events (voices x durations), so that a call at the bound ends within seconds:
+# the time and peak of a fresh call of 500 voices i:1 of 500 durations 1 are BENCH_26.json's canon_at_the_bound "ones".
 MAX_CANON_EVENTS = 250_000
-# Largest canon scheduled, in digits: events x digits of the onsets' common denominator, or of the
-# end written over it where longer. The costliest canon found under both bounds, 500 voices i:1 of 500 durations
-# k/M (k < M) over a 57-bit M, takes 2.0-2.9 s and 214 MB (human), 2.9-4.4 s and 267 MB (machine format);
-# 500 voices 0:1 to 0:500 of 500 durations k/M (k <= 9) over a 67-bit M, whose onsets are summed, take 1.4-1.6 s
-# and 151 MB, 2.3-2.6 s and 198 MB; measured likewise (BENCH_25.json).
+# Largest canon scheduled, in digits: events x digits of the onsets' common denominator, or of the end written
+# over it where longer; it keeps the costliest canon found under both bounds, 500 voices i:1 of 500 durations
+# k/M (k < M) over a 57-bit M, within seconds: BENCH_26.json's canon_at_the_bound "kM18wide", "kM18" and "kM20".
 MAX_CANON_DIGITS = 5_000_000
 # Widest common denominator of a canon's onsets, in bits, at which each onset is made as Fraction(key, den) from
 # its integer key; wider ones are running Fraction sums. One voice of 4000 durations k/p, p cycling through small

@@ -1,15 +1,18 @@
-"""The summary that ``tools/benchpairs.py`` writes, on hand-made runs.
+"""The runs that ``tools/benchpairs.py`` starts, and the summary it writes from hand-made runs.
 
 No benchmark is started: each run is the record ``benchpairs`` keeps,
 with only the fields ``summarize`` reads.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import benchpairs  # noqa: E402
 
@@ -88,3 +91,29 @@ def test_one_pair_and_workloads_without_a_pair():
     assert one["latency_p50_ms"]["change_wins"] == "0/1"
     assert one["failed_of_attempted"] == {"parent": "0/10", "change": "0/10"}
     assert one["all_correct"] is True
+
+
+
+def test_every_run_lasts_the_benchmarks_own_run_length(monkeypatch, tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    result = {"metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}, "failed": 0, "attempted": 1,
+              "correct": True}
+    commands = []
+
+    def run(cmd, **_):  # `git describe` of each tree, then the benchmark runs
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", run)
+    monkeypatch.setattr(benchpairs, "calibrate", lambda: 0.5)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["benchpairs", "--parent", str(ROOT), "--change", str(ROOT), "--workload", "cli",
+                                      "--pairs", "1", "--seed", "7", "--out", str(out)])
+    assert benchpairs.main() == 0
+    benchmark = [sys.executable, "perfbench/run.py", "--workload", "cli", "--seed", "7",
+                 "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    assert [cmd for cmd in commands if cmd[0] == sys.executable] == [benchmark, benchmark]
+    assert json.loads(out.read_text())["run_seconds"] == spec["run_seconds"] == 30
+    out.write_text(json.dumps({**json.loads(out.read_text()), "run_seconds": 20}))
+    with pytest.raises(SystemExit, match="another length"):
+        benchpairs.main()

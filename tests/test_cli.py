@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import math
 import time
@@ -14,7 +12,7 @@ from messiaen import catalog as cat
 from messiaen import cli as cli_module
 from messiaen import perm as pm
 from messiaen import z12
-from messiaen.cli import COUNT_MAX, build_parser, run
+from messiaen.cli import COUNT_MAX, build_parser, call, run
 from messiaen.errors import DomainError
 from messiaen.rhythm import (
     augment,
@@ -31,16 +29,23 @@ from messiaen.rhythm import (
 
 
 @pytest.fixture()
-def cli(capsys):
-    def invoke(*argv):
-        code = run(list(argv))
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return invoke
+def cli():
+    return lambda *argv: call(list(argv))
 
 
 # --- exit code contract ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["rhythm", "analyze", "2 1 2"],  # success
+    ["rhythm", "analyze", "1.5"],  # parse error
+    ["rhythm", "central", "--ratio", "2", "1 1"],  # domain error
+    ["perm", "--help"],
+    ["perm", "fan"],  # argparse usage error
+])
+def test_run_writes_what_call_returns(capsys, argv):
+    code = run(argv)
+    assert (code, *capsys.readouterr()) == call(argv)
 
 
 def test_success_produces_no_stderr(cli):
@@ -307,21 +312,17 @@ def orbit_calls(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(orbit_calls(), st.integers(-2, 2) | st.none(), st.integers(-1, 1) | st.none(), st.booleans())
-def test_orbit_text_matches_the_values_written_row_by_row(call, cap_offset, entry_offset, machine):
+def test_orbit_text_matches_the_values_written_row_by_row(orbit, cap_offset, entry_offset, machine):
     # cap and entry bound are set on both sides of the orbit's length, so that
     # both refusals are compared too
-    perm_text, base_text = call
+    perm_text, base_text = orbit
     length = pm.orbit_table(pm.parse_perm(perm_text), parse_rhythm(base_text).durations).order
     cap = pm.DEFAULT_ORBIT_CAP if cap_offset is None else length + cap_offset
     entries = pm.MAX_TABLE_ENTRIES if entry_offset is None else length * len(base_text.split()) + entry_offset
     argv = ["perm", "orbit", "--base", base_text, perm_text, f"--cap={cap}",
             "--format", "machine" if machine else "human"]
-    out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(pm, "MAX_TABLE_ENTRIES", entries):
-        expected = _orbit_by_values(perm_text, base_text, cap, machine)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-    assert (code, out.getvalue(), err.getvalue()) == expected
+        assert call(argv) == _orbit_by_values(perm_text, base_text, cap, machine)
 
 
 def test_machine_catalog_list_round_trips(cli):
@@ -568,14 +569,11 @@ def canon_calls(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(canon_calls(), st.booleans())
-def test_canon_text_matches_every_event_written_again(call, machine):
-    subject_text, voices = call
+def test_canon_text_matches_every_event_written_again(canon, machine):
+    subject_text, voices = canon
     argv = ["rhythm", "canon", *(f"--voice={v}" for v in voices), subject_text,
             "--format", "machine" if machine else "human"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    assert (code, out.getvalue(), err.getvalue()) == (0, _canon_writing_every_event(subject_text, voices, machine), "")
+    assert call(argv) == (0, _canon_writing_every_event(subject_text, voices, machine), "")
 
 
 @pytest.mark.parametrize("action", [["list"], ["analyze"], ["filter", "prime"]])

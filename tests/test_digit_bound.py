@@ -2,43 +2,24 @@
 
 ``errors.digit_bound()`` is ``MAX_DIGITS``, or the interpreter's
 int-to-str limit where that is lower.  Each test here sets the limit with
-``sys.set_int_max_str_digits`` and restores it, so that every reader and
-writer is seen under the lowest limit CPython allows (640), under limits
-between it and the bound, and with no limit at all.
+``int_limit``, so that every reader and writer is seen under the lowest
+limit CPython allows (640), under limits between it and the bound, and
+with no limit at all.
 """
 
-import contextlib
-import io
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
+from conftest import int_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from messiaen.cli import COUNT_MAX, _decimal, run
+from messiaen.cli import COUNT_MAX, _decimal, call
 from messiaen.errors import MAX_DIGITS, DomainError, digit_bound
 from messiaen.rhythm import format_values
 
 LIMITS = (640, 1000, 0, 5000)
-
-
-@contextlib.contextmanager
-def int_limit(limit: int):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def call(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_digit_bound_is_the_lower_of_the_two_limits():

@@ -3,22 +3,20 @@
 In-process tests run with every module already loaded, so they cannot
 see a name that a handler uses without importing it.  Here each action
 runs once under ``python -S -m messiaen.cli`` and must give what
-``cli.run`` gives in process; a second fresh run of each action lists
+``cli.call`` gives in process; a second fresh run of each action lists
 the modules it loaded.
 """
 
+import gc
 import json
+import os
 import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
 from messiaen import catalog, cli
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-ENV = {"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
 
 # One argv for each of the 19 actions.
 ACTIONS = [
@@ -73,11 +71,10 @@ VERB_MODULES = {
 
 # The modules are listed before the listing imports json, which loads re.
 LIST_MODULES = (
-    "import io, sys\n"
+    "import sys\n"
     "from messiaen import cli\n"
-    "out, err, sys.stdout, sys.stderr = sys.stdout, sys.stderr, io.StringIO(), io.StringIO()\n"
-    "cli.run(sys.argv[1:])\n"
-    "loaded, sys.stdout, sys.stderr = sorted(sys.modules), out, err\n"
+    "cli.call(sys.argv[1:])\n"
+    "loaded = sorted(sys.modules)\n"
     "import json\n"
     "print(json.dumps(loaded))\n"
 )
@@ -88,10 +85,6 @@ ARGPARSE = {"argparse", "shutil", "gettext", "locale"}
 IDS = [" ".join(argv[:2]) for argv in ACTIONS]
 
 
-def _fresh(args, env=ENV):
-    return subprocess.run([sys.executable, "-S", *args], capture_output=True, env=env, timeout=60)
-
-
 @pytest.fixture(scope="module")
 def fresh():
     """Both fresh runs of every action, and a listing run of each other rational-free call, three at a time.
@@ -100,7 +93,7 @@ def fresh():
     listed = ACTIONS + [argv for argv in RATIONAL_FREE if argv not in ACTIONS]
     jobs = [["-m", "messiaen.cli", *argv] for argv in ACTIONS] + [["-c", LIST_MODULES, *argv] for argv in listed]
     with ThreadPoolExecutor(max_workers=3) as pool:
-        procs = list(pool.map(_fresh, jobs))
+        procs = list(pool.map(fresh_python, jobs))
     n = len(ACTIONS)
     return dict(zip(IDS, procs[:n])), {tuple(argv): proc for argv, proc in zip(listed, procs[n:])}
 
@@ -110,13 +103,10 @@ def test_every_action_has_an_argv():
 
 
 @pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
-def test_fresh_interpreter_matches_in_process(argv, fresh, capsys):
+def test_fresh_interpreter_matches_in_process(argv, fresh):
     proc = fresh[0][" ".join(argv[:2])]
-    code = cli.run(argv)
-    captured = capsys.readouterr()
-    assert code == 0
-    assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")) == (
-        code, captured.out, captured.err)
+    assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")) == cli.call(argv)
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("argv", ACTIONS, ids=IDS)
@@ -164,11 +154,80 @@ def test_filter_choices_are_the_catalog_predicates():
     assert list(cli.PREDICATES) == sorted(catalog.PREDICATES)
 
 
-def test_a_fresh_call_under_the_lowest_int_to_str_limit(capsys):
-    env = {**ENV, "PYTHONINTMAXSTRDIGITS": "640"}
-    count = _fresh(["-m", "messiaen.cli", "perm", "count", "2000"], env)
-    assert cli.run(["perm", "count", "2000"]) == 0
-    assert (count.returncode, count.stdout.decode("utf-8"), count.stderr) == (0, capsys.readouterr().out, b"")
-    refused = _fresh(["-m", "messiaen.cli", "pcset", "classify", "1" * 641], env)
+def test_a_fresh_call_under_the_lowest_int_to_str_limit():
+    env = {"PYTHONINTMAXSTRDIGITS": "640"}
+    count = fresh_python(["-m", "messiaen.cli", "perm", "count", "2000"], env)
+    assert (count.returncode, count.stdout.decode("utf-8"), count.stderr.decode("utf-8")) == (
+        0, cli.call(["perm", "count", "2000"])[1], "")
+    refused = fresh_python(["-m", "messiaen.cli", "pcset", "classify", "1" * 641], env)
     assert (refused.returncode, refused.stdout) == (2, b"")
     assert refused.stderr.decode("utf-8") == "erreur de lecture: integer of 641 digits, more than 640\n"
+
+
+def _closed_pipe() -> dict:
+    """stdout of a pipe whose read end is closed before the child writes."""
+    read, write = os.pipe()
+    os.close(read)
+    return {"stdout": write}
+
+
+def _full(stream: str) -> dict:
+    return {stream: os.open("/dev/full", os.O_WRONLY)}
+
+
+def _closed_stdout() -> dict:
+    return {"preexec_fn": lambda: os.close(1)}  # in the child only
+
+
+# Output that a stream refuses, each in a fresh child: argv, environment, and how stdout or stderr is given.
+REFUSED_OUTPUT = {
+    "closed pipe": (["perm", "fan", "2000"], {}, _closed_pipe),
+    "full stdout": (["perm", "fan", "5"], {}, lambda: _full("stdout")),
+    "closed stdout": (["perm", "fan", "5"], {}, _closed_stdout),
+    "ascii stdout": (["rhythm", "canon", "--voice", "0:1", "2 1 2"], {"PYTHONIOENCODING": "ascii"}, dict),
+    "full stderr": (["rhythm", "retrograde", "0"], {}, lambda: _full("stderr")),
+    "help to closed stdout": (["--help"], {}, _closed_stdout),
+}
+
+
+@pytest.mark.parametrize("argv, env, streams", REFUSED_OUTPUT.values(), ids=list(REFUSED_OUTPUT))
+def test_output_a_stream_refuses_ends_in_exit_3_and_at_most_one_line(argv, env, streams):
+    streams = streams()
+    try:
+        proc = fresh_python(["-m", "messiaen.cli", *argv], env, **streams)
+    finally:
+        for fd in streams.values():
+            if isinstance(fd, int):
+                os.close(fd)
+    err = (proc.stderr or b"").decode("utf-8")
+    assert proc.returncode == 3 and "Traceback" not in err
+    assert err == "" or (err.startswith("erreur: ") and err.count("\n") == 1)
+
+
+COUNT_COLLECTIONS = (
+    "import gc, sys\n"
+    "from messiaen import cli\n"
+    "starts = []\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+    "try:\n"
+    "    cli.main()\n"
+    "except SystemExit as stop:\n"
+    "    sys.stderr.write(f'{stop.code} {len(starts)}')\n"
+)
+
+
+def test_a_fresh_call_runs_no_cyclic_garbage_collection():
+    # 500 voices of 500 durations 1, the event bound: each event a tuple the collector tracks
+    argv = ["rhythm", "canon", *(f"--voice={i}:1" for i in range(500)), " ".join(["1"] * 500)]
+    proc = fresh_python(["-c", COUNT_COLLECTIONS, *argv], stdout=subprocess.DEVNULL)
+    assert proc.stderr == b"0 0"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.run(["perm", "fan", "5"]) == 0 and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -21,6 +21,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import int_limit
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -37,13 +38,9 @@ EMPTY = hashlib.sha256(b"").hexdigest()  # the recorded digest of an empty stdou
 
 @pytest.fixture(scope="module")
 def recorded():
-    saved = sys.get_int_max_str_digits()
     columns, path = os.environ.get("COLUMNS"), list(sys.path)
-    sys.set_int_max_str_digits(MAX_DIGITS)  # the file holds the outcomes under the default limit
-    try:
+    with int_limit(MAX_DIGITS):  # the file holds the outcomes under the default limit
         outcomes = golden.outcomes()
-    finally:
-        sys.set_int_max_str_digits(saved)
     assert os.environ.get("COLUMNS") == columns and sys.path == path  # the recorder leaves the process as it was
     return outcomes
 

@@ -9,12 +9,10 @@ fresh interpreter, where no test has imported a submodule yet.
 import copy
 import json
 import pickle
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
 import messiaen
 from messiaen.catalog import AnalysisReport, ModeEntry, TalaEntry
@@ -28,8 +26,6 @@ from messiaen.rhythm import (
     Voice,
 )
 from messiaen.z12 import ModeId
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 R = Rhythm(durations=(F(2), F(1, 2), F(2)), unit="u")
 SHAPE = SequenceShape(values=(F(2), F(2)), constant=True, increasing=False, decreasing=False, unimodal=False)
@@ -171,9 +167,9 @@ def test_package_namespace():
     code = ("import json, messiaen; ns = {}; exec('from messiaen import *', ns);"
             "print(json.dumps([[n for n in dir(messiaen) if not n.startswith('_')],"
             " sorted(n for n in ns if not n.startswith('_')), messiaen.__version__]))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(SRC)}).stdout
-    public, star, version = json.loads(out)
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    public, star, version = json.loads(proc.stdout)
     assert public == PUBLIC_NAMES
     assert star == PUBLIC_NAMES
     assert version == messiaen.__version__ == "0.1.0"

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from conftest import int_limit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -383,21 +384,16 @@ def test_format_parse_round_trip():
 
 def test_format_values_bound_does_not_depend_on_the_interpreter_limit():
     widest = 10**MAX_DIGITS - 1
-    saved = sys.get_int_max_str_digits()
-    try:
-        for limit in (saved, 0):
-            sys.set_int_max_str_digits(limit)
+    for limit in (sys.get_int_max_str_digits(), 0):
+        with int_limit(limit):
             assert format_values([F(1, widest), -widest, 2]).split(" ")[1] == "-" + "9" * MAX_DIGITS
             for value in (F(10**MAX_DIGITS), F(1, 10**MAX_DIGITS), F(widest + 2, widest)):
                 with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
                     format_values([1, value])
-        # Under a lower interpreter limit the refusal names that limit.
-        sys.set_int_max_str_digits(640)
+    with int_limit(640):  # under a lower interpreter limit the refusal names that limit
         assert format_values([10**639]) == "1" + "0" * 639
         with pytest.raises(DomainError, match="more than 640 digits"):
             format_values([1, F(1, 10**1000)])
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def test_error_messages_name_values_the_writer_refuses():
@@ -665,13 +661,9 @@ def _assert_built_as_checked(got, durations, unit):
     assert type(got) is Rhythm and type(got.durations) is tuple
     assert all(type(d) is F for d in got.durations)
     back = pickle.loads(pickle.dumps(got))
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # a product of two 4300-digit parts has a longer repr
-    try:
+    with int_limit(0):  # a product of two 4300-digit parts has a longer repr
         assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
         assert back == want and repr(back) == repr(want)
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,17 +2,20 @@
 
 Runs each tree's own ``perfbench/run.py``, unchanged, in pairs: parent and
 change, one after the other, with the tree that runs first switched from
-one pair to the next.  Just before each run this script times a fixed
-pure-Python loop, the run's calibration, so that two records made on
-machines of different speed can be compared as ratios to it.
+one pair to the next.  Every run lasts the benchmark's own run length,
+``run_seconds`` of the change's ``BENCHMARK.json``, which the record
+states.  Just before each run this script times a fixed pure-Python
+loop, the run's calibration, so that two records made on machines of
+different speed can be compared as ratios to it.
 
     python3 tools/benchpairs.py --parent ../parent --change . \\
-        --workload rhythm-catalog --pairs 10 --seed 41 --out BENCH_14.json
-    python3 tools/benchpairs.py ... --workload cli --pairs 5 --out BENCH_14.json
-    python3 tools/benchpairs.py ... --workload rhythm-catalog --pairs 0 --trace --out BENCH_14.json
+        --workload rhythm-catalog --pairs 10 --seed 41 --out BENCH_26.json
+    python3 tools/benchpairs.py ... --workload cli --pairs 5 --out BENCH_26.json
+    python3 tools/benchpairs.py ... --workload rhythm-catalog --pairs 0 --trace --out BENCH_26.json
 
-Each call adds its runs to the record (``--out``; created if missing) and
-rewrites the record's summary from all the runs in it.  ``--trace`` adds
+Each call adds its runs to the record (``--out``; created if missing, and
+refused if it states another run length) and rewrites the record's
+summary from all the runs in it.  ``--trace`` adds
 one ``--trace 1`` run per tree after the pairs.  Per workload and
 end-to-end metric the summary holds each side's quartiles
 (``statistics.quantiles``, inclusive), the parent's IQR, the ratio of the
@@ -111,13 +114,13 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", action="store_true", help="one --trace 1 run per tree after the pairs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {
         "what": ("perfbench/run.py of each tree, unchanged, in alternating pairs (the tree that runs first "
@@ -127,8 +130,11 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "run_seconds": seconds,
         "runs": [],
     }
+    if record.get("run_seconds") != seconds:
+        raise SystemExit(f"benchpairs: {args.out} holds runs of another length than {seconds} s")
     runs = record["runs"]
     first_pair = 1 + max((r["pair"] for r in runs if r["workload"] == args.workload and r["trace"] == 0), default=0)
     schedule = []
@@ -139,7 +145,7 @@ def main() -> int:
         schedule += [(tree, None, 1, None) for tree in TREES]
     for tree, pair, trace, first in schedule:
         calibration = calibrate()
-        result = run_once(trees[tree], args.workload, args.seed, args.seconds, trace)
+        result = run_once(trees[tree], args.workload, args.seed, seconds, trace)
         runs.append({"tree": tree, "workload": args.workload, "pair": pair, "seed": args.seed, "trace": trace,
                      "first": first, "calibration_s": round(calibration, 4), "result": result})
         print(f"{args.workload} {tree} pair {pair} trace {trace}: {json.dumps(result['metrics'])[:160]}",

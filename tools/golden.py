@@ -1,8 +1,8 @@
 """Golden output of the command line, recorded and compared across two trees.
 
-``record`` runs ``messiaen.cli.run`` in process on a fixed corpus of argv
+``record`` runs ``messiaen.cli.call`` in process on a fixed corpus of argv
 and writes, per argv, the exit code, a SHA-256 digest of stdout and the
-stderr text (an exception that escapes ``run`` is recorded by its type
+stderr text (an exception that escapes ``call`` is recorded by its type
 and first line).  ``diff`` compares two recordings of the same corpus,
 prints the argv that differ, grouped by verb and action, and counts the
 argv of the second recording that ended in an exception or in an exit
@@ -54,8 +54,9 @@ The corpus:
 - ``--help`` at the top, for every verb and for every action, and the
   bare call of the program and of every verb.
 
-The package comes from ``PYTHONPATH``; the corpus from this checkout.  To
-compare a change with its parent, record once with each tree's ``src``::
+The package comes from ``PYTHONPATH``, and its ``cli`` must have ``call``;
+the corpus comes from this checkout.  To compare a change with its
+parent, record once with each tree's ``src``::
 
     PYTHONPATH=../parent/src python3 tools/golden.py record parent.jsonl
     PYTHONPATH=src python3 tools/golden.py record change.jsonl
@@ -305,26 +306,28 @@ def corpus() -> list[list[str]]:
             + _fan_argv() + _orbit_base_argv() + _canon_argv() + _edge_argv() + _catalog_argv() + _help_argv(ACTIONS))
 
 
-def _outcome(run, argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except Exception as exc:  # a traceback is an outcome to compare, not a crash of the recorder
-            code = f"exception {type(exc).__name__}"
-            err.write(str(exc).split("\n")[0][:200])
-    digest = hashlib.sha256(out.getvalue().encode("utf-8", "surrogateescape")).hexdigest()
-    return {"argv": argv, "code": code, "stdout": digest, "stderr": err.getvalue()}
+def _outcome(call, argv: list[str]) -> dict:
+    try:
+        code, out, err = call(argv)
+    except Exception as exc:  # a traceback is an outcome to compare, not a crash of the recorder
+        code, out, err = f"exception {type(exc).__name__}", "", str(exc).split("\n")[0][:200]
+    digest = hashlib.sha256(out.encode("utf-8", "surrogateescape")).hexdigest()
+    return {"argv": argv, "code": code, "stdout": digest, "stderr": err}
 
 
 def outcomes() -> list[dict]:
-    """The outcome of every argv of the corpus, in order, with ``COLUMNS=80`` set only while they run."""
-    from messiaen.cli import run
+    """The outcome of every argv of the corpus, in order, with ``COLUMNS=80`` set only while they run.
+
+    Each is ``cli.call``'s, with stdout and stderr streams that fail on write: a text that ``call``
+    wrote instead of returning it would fail its argv, or (argparse's, whose write errors argparse
+    swallows) be missing from the outcome."""
+    from messiaen.cli import call
 
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
     try:
-        return [_outcome(run, argv) for argv in corpus()]
+        with contextlib.redirect_stdout(io.TextIOBase()), contextlib.redirect_stderr(io.TextIOBase()):
+            return [_outcome(call, argv) for argv in corpus()]
     finally:
         if saved is None:
             del os.environ["COLUMNS"]
